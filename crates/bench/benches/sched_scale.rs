@@ -15,7 +15,9 @@
 //! `schedule` thousands of times on one frozen view, and the production
 //! probe memo would turn every iteration after the first into a skip-path
 //! no-op. The dirty-tracked path is measured end-to-end instead (the
-//! events/sec guard in `sched_guard`), where state actually evolves.
+//! events/sec guard in `sched_guard`), where state actually evolves. Every
+//! view carries a real `SchedIndex` and `AdmissionOrder`, like production's
+//! (the scan reference ignores both).
 
 use std::time::Duration;
 
@@ -24,7 +26,7 @@ use drom_bench::sched_fixtures::{
     loaded_state, loaded_state_model, reservation_stress_state, NODE_CPUS,
 };
 use drom_sim::{mixed_hpc_trace, ClusterSim};
-use drom_slurm::policy::{ClusterView, SchedIndex, SchedulerPolicy};
+use drom_slurm::policy::{AdmissionOrder, ClusterView, SchedIndex, SchedulerPolicy};
 use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, MalleableScanPolicy};
 
 fn bench_sched_scale(c: &mut Criterion) {
@@ -34,19 +36,12 @@ fn bench_sched_scale(c: &mut Criterion) {
 
     let (free, running, queue) = loaded_state(128);
     let index = SchedIndex::rebuild(&free, &running);
+    let order = AdmissionOrder::from_queue(&queue);
     let view = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free,
         running: &running,
-        index: Some(&index),
-        order: None,
-    };
-    let view_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free,
-        running: &running,
-        index: None,
-        order: None,
+        index: &index,
+        order: &order,
     };
 
     group.bench_function("first_fit_pass_128n", |b| {
@@ -68,7 +63,7 @@ fn bench_sched_scale(c: &mut Criterion) {
     // is the committed 2 ms baseline the indexed pass is measured against.
     group.bench_function("malleable_scan_pass_128n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_no_index, &queue, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     // The same loaded view with the calibrated app models attached: the
@@ -77,12 +72,12 @@ fn bench_sched_scale(c: &mut Criterion) {
     // (sched_guard enforces it in CI).
     let (free_m, running_m, queue_m) = loaded_state_model(128);
     let index_m = SchedIndex::rebuild(&free_m, &running_m);
+    let order_m = AdmissionOrder::from_queue(&queue_m);
     let view_m = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_m,
         running: &running_m,
-        index: Some(&index_m),
-        order: None,
+        index: &index_m,
+        order: &order_m,
     };
     group.bench_function("malleable_model_pass_128n", |b| {
         let mut policy = MalleablePolicy::always_probe();
@@ -92,19 +87,12 @@ fn bench_sched_scale(c: &mut Criterion) {
     // The scale-out tier's view: 1024 nodes, ~1530 running, 512 queued.
     let (free_xl, running_xl, queue_xl) = loaded_state(1024);
     let index_xl = SchedIndex::rebuild(&free_xl, &running_xl);
+    let order_xl = AdmissionOrder::from_queue(&queue_xl);
     let view_xl = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_xl,
         running: &running_xl,
-        index: Some(&index_xl),
-        order: None,
-    };
-    let view_xl_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free_xl,
-        running: &running_xl,
-        index: None,
-        order: None,
+        index: &index_xl,
+        order: &order_xl,
     };
 
     group.bench_function("malleable_pass_1024n", |b| {
@@ -114,7 +102,7 @@ fn bench_sched_scale(c: &mut Criterion) {
 
     group.bench_function("malleable_scan_pass_1024n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_xl_no_index, &queue_xl, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
     });
 
     // The reservation-stress view: 1024 rigid holders with distinct
@@ -125,19 +113,12 @@ fn bench_sched_scale(c: &mut Criterion) {
     // speedup the way malleable_* vs malleable_scan_* records the index's.
     let (free_r, running_r, queue_r) = reservation_stress_state(1024);
     let index_r = SchedIndex::rebuild(&free_r, &running_r);
+    let order_r = AdmissionOrder::from_queue(&queue_r);
     let view_r = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_r,
         running: &running_r,
-        index: Some(&index_r),
-        order: None,
-    };
-    let view_r_no_index = ClusterView {
-        node_cpus: NODE_CPUS,
-        free: &free_r,
-        running: &running_r,
-        index: None,
-        order: None,
+        index: &index_r,
+        order: &order_r,
     };
 
     group.bench_function("malleable_reservation_pass_1024n", |b| {
@@ -147,7 +128,7 @@ fn bench_sched_scale(c: &mut Criterion) {
 
     group.bench_function("malleable_scan_reservation_pass_1024n", |b| {
         let mut policy = MalleableScanPolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_r_no_index, &queue_r, 1_000)));
+        b.iter(|| black_box(policy.schedule(&view_r, &queue_r, 1_000)));
     });
 
     // End-to-end: a full 300-job trace on 32 nodes, malleable policy. The

@@ -29,7 +29,7 @@ use drom_bench::sched_fixtures::{
     loaded_state, loaded_state_model, reservation_stress_state, NODE_CPUS,
 };
 use drom_sim::{queue_churn_trace, ClusterSim};
-use drom_slurm::policy::{ClusterView, SchedIndex, SchedulerPolicy};
+use drom_slurm::policy::{AdmissionOrder, ClusterView, SchedIndex, SchedulerPolicy};
 use drom_slurm::{MalleablePolicy, MalleableScanPolicy};
 
 const INDEXED_KEY: &str = "sched_scale/malleable_pass_128n";
@@ -123,34 +123,30 @@ fn main() {
 
     let (free, running, queue) = loaded_state(128);
     let index = SchedIndex::rebuild(&free, &running);
+    let order = AdmissionOrder::from_queue(&queue);
     let view = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free,
         running: &running,
-        index: Some(&index),
-        order: None,
-    };
-    let view_no_index = ClusterView {
-        index: None,
-        ..view
+        index: &index,
+        order: &order,
     };
     let (free_m, running_m, queue_m) = loaded_state_model(128);
     let index_m = SchedIndex::rebuild(&free_m, &running_m);
+    let order_m = AdmissionOrder::from_queue(&queue_m);
     let view_m = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_m,
         running: &running_m,
-        index: Some(&index_m),
-        order: None,
+        index: &index_m,
+        order: &order_m,
     };
     let (free_r, running_r, queue_r) = reservation_stress_state(1024);
     let index_r = SchedIndex::rebuild(&free_r, &running_r);
+    let order_r = AdmissionOrder::from_queue(&queue_r);
     let view_r = ClusterView {
         node_cpus: NODE_CPUS,
-        free: &free_r,
         running: &running_r,
-        index: Some(&index_r),
-        order: None,
+        index: &index_r,
+        order: &order_r,
     };
 
     // The latency keys use the always-probe variant: `measure` replays one
@@ -160,12 +156,7 @@ fn main() {
     let indexed_ns = measure(&mut MalleablePolicy::always_probe(), &view, &queue, 200);
     let model_ns = measure(&mut MalleablePolicy::always_probe(), &view_m, &queue_m, 200);
     let reservation_ns = measure(&mut MalleablePolicy::always_probe(), &view_r, &queue_r, 200);
-    let scan_ns = measure(
-        &mut MalleableScanPolicy::default(),
-        &view_no_index,
-        &queue,
-        20,
-    );
+    let scan_ns = measure(&mut MalleableScanPolicy::default(), &view, &queue, 20);
     let (events_ns, events) = measure_events();
     println!(
         "sched_guard: queue-churn mega replay {events} events at {events_ns:.0} ns/event \

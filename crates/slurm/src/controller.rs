@@ -188,7 +188,7 @@ pub struct SchedulerStats {
 /// applied start / resize / completion and handed to the policy through the
 /// view, so an index-aware policy (the malleable one) never recomputes those
 /// sums from the running set. In debug builds every [`tick`] cross-checks
-/// the index against a from-scratch rebuild.
+/// the index and the admission order against from-scratch rebuilds.
 ///
 /// [`tick`]: PolicyScheduler::tick
 pub struct PolicyScheduler {
@@ -276,17 +276,6 @@ impl PolicyScheduler {
         self.stats
     }
 
-    /// The read-only view handed to the policy.
-    pub fn view(&self) -> ClusterView<'_> {
-        ClusterView {
-            node_cpus: self.node_cpus,
-            free: self.index.free(),
-            running: &self.running,
-            index: Some(&self.index),
-            order: Some(&self.order),
-        }
-    }
-
     /// Queues a job.
     ///
     /// # Errors
@@ -294,12 +283,18 @@ impl PolicyScheduler {
     /// [`SlurmError::Unschedulable`] when no node of the cluster can ever
     /// satisfy the request — accepting such a job would block an FCFS queue
     /// forever, so submission fails instead of livelocking the scheduler.
+    /// [`SlurmError::DuplicateJob`] when a job with the same id is already
+    /// waiting — ids key the admission order, so a second copy would
+    /// silently replace the first. State is untouched either way.
     pub fn submit(&mut self, job: QueuedJob) -> Result<(), SlurmError> {
-        if let Err(reason) = self.view().fits_ever(&job) {
+        if let Err(reason) = job.fits_ever(self.index.free().len(), self.node_cpus) {
             return Err(SlurmError::Unschedulable {
                 job_id: job.id,
                 reason,
             });
+        }
+        if self.order.contains(job.id) {
+            return Err(SlurmError::DuplicateJob { job_id: job.id });
         }
         self.order.insert(&job, self.queue.len());
         self.queue.push(job);
@@ -315,8 +310,22 @@ impl PolicyScheduler {
     ///
     /// # Errors
     ///
-    /// [`SlurmError::UnknownJob`] if the job is not running.
+    /// [`SlurmError::DuplicateJob`] if a job with the same id already waits;
+    /// [`SlurmError::UnknownJob`] if the job is not running. State is
+    /// untouched either way.
     pub fn requeue(&mut self, job_id: u64) -> Result<(), SlurmError> {
+        if self.order.contains(job_id) {
+            return Err(SlurmError::DuplicateJob { job_id });
+        }
+        let job = self.take_running(job_id)?.job;
+        self.stats.requeues += 1;
+        self.order.insert(&job, self.queue.len());
+        self.queue.push(job);
+        Ok(())
+    }
+
+    /// Removes a running job, unwinding its allocation from the index.
+    fn take_running(&mut self, job_id: u64) -> Result<RunningJob, SlurmError> {
         let pos = self
             .running
             .iter()
@@ -325,10 +334,7 @@ impl PolicyScheduler {
         let job = self.running.remove(pos);
         self.index
             .on_complete(&job.job, &job.alloc.node_indices, job.alloc.cpus_per_node);
-        self.stats.requeues += 1;
-        self.order.insert(&job.job, self.queue.len());
-        self.queue.push(job.job);
-        Ok(())
+        Ok(job)
     }
 
     /// Refreshes a running job's estimated completion time (the trace engine
@@ -354,14 +360,7 @@ impl PolicyScheduler {
     ///
     /// [`SlurmError::UnknownJob`] if the job is not running.
     pub fn job_finished(&mut self, job_id: u64) -> Result<RunningJob, SlurmError> {
-        let pos = self
-            .running
-            .iter()
-            .position(|r| r.alloc.job_id == job_id)
-            .ok_or(SlurmError::UnknownJob { job_id })?;
-        let job = self.running.remove(pos);
-        self.index
-            .on_complete(&job.job, &job.alloc.node_indices, job.alloc.cpus_per_node);
+        let job = self.take_running(job_id)?;
         self.stats.completed += 1;
         Ok(job)
     }
@@ -391,12 +390,16 @@ impl PolicyScheduler {
             ),
             "event-maintained index diverged from the running set"
         );
+        debug_assert_eq!(
+            self.order,
+            AdmissionOrder::from_queue(&self.queue),
+            "maintained admission order diverged from the queue"
+        );
         let view = ClusterView {
             node_cpus: self.node_cpus,
-            free: self.index.free(),
             running: &self.running,
-            index: Some(&self.index),
-            order: Some(&self.order),
+            index: &self.index,
+            order: &self.order,
         };
         let actions = self.policy.schedule(&view, &self.queue, now_us);
         let mut applied = Vec::with_capacity(actions.len());
@@ -432,14 +435,11 @@ impl PolicyScheduler {
         now_us: TimeUs,
     ) -> Result<(), SlurmError> {
         let invalid = |reason: String| SlurmError::InvalidAction { job_id, reason };
-        // The admission order doubles as the queue-position lookup; the
-        // mapping is verified (and falls back to a linear scan) so a stale
-        // or corrupt order can reject a valid start only by not finding it.
+        // The admission order doubles as the queue-position lookup.
         let pos = self
             .order
             .position_of(job_id)
             .filter(|&p| self.queue.get(p).is_some_and(|j| j.id == job_id))
-            .or_else(|| self.queue.iter().position(|j| j.id == job_id))
             .ok_or_else(|| invalid("start of a job that is not queued".into()))?;
         let job = &self.queue[pos];
         if node_indices.len() != job.nodes {
@@ -679,6 +679,33 @@ mod tests {
             0,
             "impossible jobs never enter the queue"
         );
+    }
+
+    /// Regression: a second submission under a waiting id used to replace
+    /// the first copy's admission key while both stayed queued. It is now a
+    /// typed error with the state untouched — as is requeueing a running
+    /// job whose id waits again.
+    #[test]
+    fn policy_scheduler_rejects_duplicate_waiting_ids() {
+        let mut sched = PolicyScheduler::new(1, 16, Box::new(FirstFitPolicy::default()));
+        sched.submit(QueuedJob::new(1, 1, 16)).unwrap();
+        sched.tick(0).unwrap(); // job 1 runs; its id no longer waits
+        sched.submit(QueuedJob::new(1, 1, 16)).unwrap();
+        sched.submit(QueuedJob::new(2, 1, 8)).unwrap();
+        let err = sched.submit(QueuedJob::new(2, 1, 4).with_priority(9));
+        assert_eq!(err, Err(SlurmError::DuplicateJob { job_id: 2 }));
+        assert_eq!(
+            sched.requeue(1),
+            Err(SlurmError::DuplicateJob { job_id: 1 })
+        );
+        assert_eq!(sched.queue_len(), 2);
+        assert_eq!(sched.admission_order().len(), 2);
+        assert_eq!(sched.running().len(), 1);
+        assert_eq!(sched.stats().requeues, 0);
+        // The surviving copies still schedule in order once the node frees.
+        sched.job_finished(1).unwrap();
+        assert_eq!(sched.tick(10).unwrap().len(), 1);
+        assert_eq!(sched.queue()[0].cpus_per_node, 8, "the first job 2 waits");
     }
 
     #[test]

@@ -41,6 +41,12 @@ pub enum SlurmError {
         /// Human-readable explanation of the impossible requirement.
         reason: String,
     },
+    /// A job with this id is already waiting in the queue. Waiting ids key
+    /// the admission order, so the second copy is rejected.
+    DuplicateJob {
+        /// The id that is already queued.
+        job_id: u64,
+    },
     /// A scheduling policy emitted an action the cluster state cannot honour
     /// (overcommitted node, resize outside the job's malleable range, …).
     /// The action is rejected before any state changes.
@@ -72,6 +78,9 @@ impl fmt::Display for SlurmError {
             SlurmError::UnknownJob { job_id } => write!(f, "unknown job {job_id}"),
             SlurmError::Unschedulable { job_id, reason } => {
                 write!(f, "job {job_id} can never be scheduled: {reason}")
+            }
+            SlurmError::DuplicateJob { job_id } => {
+                write!(f, "job {job_id} is already waiting in the queue")
             }
             SlurmError::InvalidAction { job_id, reason } => {
                 write!(f, "invalid scheduler action for job {job_id}: {reason}")
@@ -110,6 +119,9 @@ mod tests {
         };
         assert!(unsched.to_string().contains("never"));
         assert!(unsched.to_string().contains("32"));
+        assert!(SlurmError::DuplicateJob { job_id: 9 }
+            .to_string()
+            .contains("already waiting"));
         let err: SlurmError = DromError::NotInitialized.into();
         assert!(matches!(err, SlurmError::Drom(_)));
         assert!(err.to_string().contains("DROM"));

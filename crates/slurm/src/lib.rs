@@ -77,7 +77,7 @@
 //!         queue: &[QueuedJob],
 //!         _now_us: u64,
 //!     ) -> Vec<SchedulerAction> {
-//!         let mut free = view.free.to_vec();
+//!         let mut free = view.free().to_vec();
 //!         let mut actions = Vec::new();
 //!         for job in queue.iter().filter(|j| j.nodes == 1) {
 //!             // Emptiest node first; ties break on the lower index.

@@ -1,7 +1,7 @@
 //! Differential battery for the incremental admission order and the
 //! dirty-tracked probe memo (PR 8's tentpole machinery).
 //!
-//! Two properties pin the new fast paths to the old exhaustive ones:
+//! Three properties pin the new fast paths to the old exhaustive ones:
 //!
 //! 1. **Order equivalence** — over arbitrary interleavings of submissions,
 //!    scheduling ticks, completions and requeues, the admission order the
@@ -20,13 +20,21 @@
 //!    widening a skip — e.g. ignoring a generation — diverges; the two
 //!    in-crate `Unsound*` hazard variants demonstrate exactly that).
 //!
+//! 3. **One-shot equivalence** — the state a controller reached event by
+//!    event (its maintained `SchedIndex` and `AdmissionOrder`) and the same
+//!    `(running, queue)` state built one-shot with `SchedIndex::rebuild` +
+//!    `AdmissionOrder::from_queue` yield identical actions under all three
+//!    policies. Hand-built views (tests, benches, foreign drivers) therefore
+//!    decide exactly like the production driver; there is no second,
+//!    index-less code path left to diverge.
+//!
 //! The generators force ties on purpose: tiny priority/submit ranges, so
 //! the id tie-break is exercised constantly, and enough completions and
 //! requeues that positions churn through the controller's swap-remove path.
 
 use proptest::prelude::*;
 
-use drom_slurm::policy::{QueuedJob, SchedulerPolicy};
+use drom_slurm::policy::{AdmissionOrder, ClusterView, QueuedJob, SchedIndex, SchedulerPolicy};
 use drom_slurm::{BackfillPolicy, FirstFitPolicy, MalleablePolicy, PolicyScheduler};
 
 /// One step of the driver interleaving, decoded from raw proptest fuel.
@@ -189,6 +197,46 @@ proptest! {
                 let qa: Vec<u64> = a.queue().iter().map(|j| j.id).collect();
                 let qb: Vec<u64> = b.queue().iter().map(|j| j.id).collect();
                 prop_assert_eq!(qa, qb, "{}: queue drifted", name);
+            }
+        }
+    }
+
+    /// Property 3: after every event, a fresh policy deciding on the
+    /// controller's event-maintained view and on a one-shot rebuild of the
+    /// same `(running, queue)` state emits identical actions — all three
+    /// policies, on whatever state the malleable driver wandered into.
+    #[test]
+    fn event_built_and_one_shot_views_decide_identically(
+        ops in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..40),
+    ) {
+        let mut sched = PolicyScheduler::new(4, 16, Box::new(MalleablePolicy::default()));
+        let (mut next_id, mut now) = (1u64, 0u64);
+        for (kind, a, b) in ops {
+            apply(&mut sched, decode(kind, a, b), &mut next_id, &mut now);
+            let maintained = ClusterView {
+                node_cpus: sched.node_cpus(),
+                running: sched.running(),
+                index: sched.sched_index(),
+                order: sched.admission_order(),
+            };
+            let one_shot = ClusterView {
+                index: &SchedIndex::rebuild(sched.free_cpus(), sched.running()),
+                order: &AdmissionOrder::from_queue(sched.queue()),
+                ..maintained
+            };
+            let policies: [fn() -> Box<dyn SchedulerPolicy>; 3] = [
+                || Box::new(FirstFitPolicy::default()),
+                || Box::new(BackfillPolicy::default()),
+                || Box::new(MalleablePolicy::default()),
+            ];
+            for fresh in policies {
+                let (mut on_maintained, mut on_one_shot) = (fresh(), fresh());
+                prop_assert_eq!(
+                    on_maintained.schedule(&maintained, sched.queue(), now),
+                    on_one_shot.schedule(&one_shot, sched.queue(), now),
+                    "{}: one-shot view diverged from the event-maintained one",
+                    on_maintained.name()
+                );
             }
         }
     }

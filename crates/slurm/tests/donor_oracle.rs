@@ -27,8 +27,8 @@
 use proptest::prelude::*;
 
 use drom_slurm::policy::{
-    ClusterView, JobAllocation, MalleablePolicy, MalleableScanPolicy, QueuedJob, RunningJob,
-    SchedulerAction, SchedulerPolicy, SpeedupCurve,
+    AdmissionOrder, ClusterView, JobAllocation, MalleablePolicy, MalleableScanPolicy, QueuedJob,
+    RunningJob, SchedIndex, SchedulerAction, SchedulerPolicy, SpeedupCurve,
 };
 
 const NODE_CPUS: usize = 64;
@@ -222,13 +222,11 @@ proptest! {
         let queue = vec![QueuedJob::new(100, 1, need)];
         let expected = oracle(&requests, &floors, &curves, free, need);
 
-        let free_vec = [free];
         let view = ClusterView {
             node_cpus: NODE_CPUS,
-            free: &free_vec,
             running: &holders,
-            index: None,
-            order: None,
+            index: &SchedIndex::rebuild(&[free], &holders),
+            order: &AdmissionOrder::from_queue(&queue),
         };
         let indexed = MalleablePolicy::default().schedule(&view, &queue, 0);
         let scanned = MalleableScanPolicy::default().schedule(&view, &queue, 0);

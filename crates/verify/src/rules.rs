@@ -16,7 +16,10 @@
 //!   scheduling pass; each needs an `// ALLOC(pass):` justification, and
 //!   the aggregate is the committed allocation inventory
 //!   (`crates/verify/lint_baseline.tsv`) that quantifies the O(nodes)
-//!   pass-seeding cost named in ROADMAP.md.
+//!   pass-seeding cost named in ROADMAP.md. `schedule` impls in a
+//!   `policy/reference.rs` file are decision entries only: reference
+//!   implementations must replay deterministically and panic-free, but no
+//!   production pass runs them, so they stay out of the inventory.
 //!
 //! Findings carry a justification bit (marker comment within
 //! [`JUSTIFICATION_WINDOW`] lines above the site, or above the `fn` line to
@@ -136,6 +139,10 @@ impl fmt::Display for Finding {
 /// The five fixed entry-point specs. Each must match at least one non-test
 /// function or the analysis reports *registry drift* — a rename silently
 /// emptying a closure is exactly the failure mode this lint exists to stop.
+/// `SchedulerPolicy::schedule` impls in a file with this path suffix are
+/// reference implementations: decision entries, not pass entries.
+const REFERENCE_POLICY_FILE: &str = "policy/reference.rs";
+
 const REGISTRY: &[(&str, &str)] = &[
     ("SchedulerPolicy::schedule impls", "pass"),
     ("PolicyScheduler::apply_*", "decision"),
@@ -155,14 +162,15 @@ const POLICY_SCHEDULER_EXACT: &[&str] = &[
     "set_expected_end",
 ];
 
-/// Classifies one function against the registry: returns
+/// Classifies one function (defined in the file at workspace-relative path
+/// `rel`) against the registry: returns
 /// `(is_decision_entry, is_pass_entry, matched_spec_index)`.
-fn match_registry(f: &FnItem) -> (bool, bool, Option<usize>) {
+fn match_registry(f: &FnItem, rel: &str) -> (bool, bool, Option<usize>) {
     if f.is_test || f.body.is_none() {
         return (false, false, None);
     }
     if f.trait_name.as_deref() == Some("SchedulerPolicy") && f.name == "schedule" {
-        return (true, true, Some(0));
+        return (true, !rel.ends_with(REFERENCE_POLICY_FILE), Some(0));
     }
     match f.self_ty.as_deref() {
         Some("PolicyScheduler") if f.name.starts_with("apply_") => (true, false, Some(1)),
@@ -517,7 +525,7 @@ pub fn analyze_files(
     let mut pass_entries = Vec::new();
     let mut matched = [false; 5];
     for (idx, f) in fns.iter().enumerate() {
-        let (mut dec, mut pass, spec) = match_registry(f);
+        let (mut dec, mut pass, spec) = match_registry(f, &files[f.file].rel);
         if let Some(s) = spec {
             matched[s] = true;
         }
@@ -868,6 +876,35 @@ mod tests {
         assert!(
             a.decision.len() >= 2,
             "pass entries are decision entries too"
+        );
+    }
+
+    #[test]
+    fn reference_schedule_impl_is_decision_entry_only() {
+        let src = format!(
+            "{POLICY_PRELUDE}struct R;\nimpl SchedulerPolicy for R {{ fn schedule(&self) {{ let _v = Vec::new(); helper(&[]); }} }}\n\
+             fn helper(xs: &[u64]) -> u64 {{ xs[0] }}\n"
+        );
+        let files = vec![SourceFile::new(
+            "crates/x/src/policy/reference.rs",
+            "drom-x",
+            false,
+            &src,
+        )];
+        let a = analyze_files(files, &BTreeMap::new());
+        assert!(a.registry_drift.iter().all(|d| !d.contains("schedule")));
+        assert!(a.pass.is_empty(), "{:?}", a.list_closure("pass"));
+        assert!(
+            !a.findings.iter().any(|f| f.rule == Rule::Alloc),
+            "reference allocations stay out of the inventory: {:?}",
+            a.findings
+        );
+        assert!(
+            a.findings
+                .iter()
+                .any(|f| f.rule == Rule::Panic && f.func == "helper"),
+            "panic (and determinism) rules still reach reference code: {:?}",
+            a.findings
         );
     }
 

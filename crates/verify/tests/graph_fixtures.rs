@@ -226,7 +226,7 @@ fn workspace_analyzes_clean() {
     // decision path end to end.
     let decision = a.list_closure("decision").join("\n");
     for file in [
-        "crates/slurm/src/policy.rs",
+        "crates/slurm/src/policy/",
         "crates/sim/src/cluster.rs",
         "crates/sim/src/progress.rs",
         "crates/sim/src/rate.rs",
