@@ -11,13 +11,11 @@
 //! reference implementation, so the speedup of the donor/availability
 //! indices stays visible. Baselines are recorded in `BENCH_sched.json`.
 //!
-//! The per-pass benches use the `always_probe` policy variants: they call
-//! `schedule` thousands of times on one frozen view, and the production
-//! probe memo would turn every iteration after the first into a skip-path
-//! no-op. The dirty-tracked path is measured end-to-end instead (the
-//! events/sec guard in `sched_guard`), where state actually evolves. Every
-//! view carries a real `SchedIndex` and `AdmissionOrder`, like production's
-//! (the scan reference ignores both).
+//! The per-pass benches call `schedule` thousands of times on one frozen
+//! view; the policies keep no state between passes, so every iteration does
+//! the full pass. Every view carries a real `SchedIndex` and
+//! `AdmissionOrder`, like production's (the scan reference reads only the
+//! free vector).
 
 use std::time::Duration;
 
@@ -45,17 +43,17 @@ fn bench_sched_scale(c: &mut Criterion) {
     };
 
     group.bench_function("first_fit_pass_128n", |b| {
-        let mut policy = FirstFitPolicy::always_probe();
+        let mut policy = FirstFitPolicy::default();
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     group.bench_function("backfill_pass_128n", |b| {
-        let mut policy = BackfillPolicy::always_probe();
+        let mut policy = BackfillPolicy::default();
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
     group.bench_function("malleable_pass_128n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = MalleablePolicy::default();
         b.iter(|| black_box(policy.schedule(&view, &queue, 1_000)));
     });
 
@@ -80,7 +78,7 @@ fn bench_sched_scale(c: &mut Criterion) {
         order: &order_m,
     };
     group.bench_function("malleable_model_pass_128n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = MalleablePolicy::default();
         b.iter(|| black_box(policy.schedule(&view_m, &queue_m, 1_000)));
     });
 
@@ -96,7 +94,7 @@ fn bench_sched_scale(c: &mut Criterion) {
     };
 
     group.bench_function("malleable_pass_1024n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = MalleablePolicy::default();
         b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
     });
 
@@ -122,7 +120,7 @@ fn bench_sched_scale(c: &mut Criterion) {
     };
 
     group.bench_function("malleable_reservation_pass_1024n", |b| {
-        let mut policy = MalleablePolicy::always_probe();
+        let mut policy = MalleablePolicy::default();
         b.iter(|| black_box(policy.schedule(&view_r, &queue_r, 1_000)));
     });
 

@@ -126,9 +126,9 @@ fn main() {
         }
         // The queue-churn tier: short over-subscribing jobs keep the
         // waiting queue deep, so the run is admission-bound — the surface
-        // the incremental admission order and the dirty-tracked probe memo
+        // the incremental admission order and the index's count histograms
         // serve. Standing cluster shape, standing overrides apply; `--scan`
-        // replays it against the always-re-sort/always-probe reference.
+        // replays it against the full-re-sort, scan-everything reference.
         "queue-churn" => {
             let nodes = arg::<usize>("--nodes", 128);
             let jobs = arg::<usize>("--jobs", 2000);

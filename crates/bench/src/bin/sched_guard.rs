@@ -6,8 +6,8 @@
 //! calibrated speedup curves attached), and the 1024-node
 //! `malleable_reservation_pass_1024n` drain-forecast case (the
 //! release-timeline walk that replaced the per-attempt replay), plus the
-//! mega-shape queue-churn events/sec replay (the dirty-tracked production
-//! path, end to end), and fails — exit code 1 — when any exceeds its
+//! mega-shape queue-churn events/sec replay (controller, index upkeep and
+//! policy end to end), and fails — exit code 1 — when any exceeds its
 //! committed `BENCH_sched.json` baseline by more than the given factor
 //! (default 2×, `--factor F` overrides).
 //!
@@ -37,9 +37,9 @@ const MODEL_KEY: &str = "sched_scale/malleable_model_pass_128n";
 const RESERVATION_KEY: &str = "sched_scale/malleable_reservation_pass_1024n";
 const SCAN_KEY: &str = "sched_scale/malleable_scan_pass_128n";
 /// Whole-trace replay of the queue-churn trace at the mega node count with
-/// the *production* (dirty-tracked) malleable policy — the only key where
-/// state evolves between passes, so the probe memo and admission order are
-/// actually exercised. Stored as mean ns **per event**.
+/// the malleable policy — the only key where state evolves between passes,
+/// so the index's event upkeep and the admission order are actually
+/// exercised. Stored as mean ns **per event**.
 const EVENTS_KEY: &str = "sched_guard/queue_churn_events_mega";
 
 /// Events-per-second probe: one end-to-end replay of a queue-heavy trace on
@@ -149,13 +149,9 @@ fn main() {
         order: &order_r,
     };
 
-    // The latency keys use the always-probe variant: `measure` replays one
-    // frozen view, and the production probe memo would collapse every
-    // iteration after the first into a skip-path no-op. The dirty-tracked
-    // production path is what the events/sec key below measures, end to end.
-    let indexed_ns = measure(&mut MalleablePolicy::always_probe(), &view, &queue, 200);
-    let model_ns = measure(&mut MalleablePolicy::always_probe(), &view_m, &queue_m, 200);
-    let reservation_ns = measure(&mut MalleablePolicy::always_probe(), &view_r, &queue_r, 200);
+    let indexed_ns = measure(&mut MalleablePolicy::default(), &view, &queue, 200);
+    let model_ns = measure(&mut MalleablePolicy::default(), &view_m, &queue_m, 200);
+    let reservation_ns = measure(&mut MalleablePolicy::default(), &view_r, &queue_r, 200);
     let scan_ns = measure(&mut MalleableScanPolicy::default(), &view, &queue, 20);
     let (events_ns, events) = measure_events();
     println!(

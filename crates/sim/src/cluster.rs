@@ -554,9 +554,10 @@ mod tests {
                 // The queue-churn stream: short jobs over-subscribe the
                 // cluster so the waiting queue stays deep and every pass is
                 // admission-bound — the surface where the incremental
-                // admission order and the probe memo do their work. The scan
-                // reference keeps the full re-sort and re-probes everything,
-                // so a tie-break slip or an unsound skip diverges here first.
+                // admission order and the index's count histograms do their
+                // work. The scan reference keeps the full re-sort and scans
+                // every node per probe, so a tie-break slip or a drifted
+                // count diverges here first.
                 queue_churn_trace(seed, jobs, nodes, 16, load + 0.1).generate(),
             ] {
                 let indexed = sim
@@ -674,13 +675,13 @@ mod tests {
     }
 
     /// The queue-churn stream replays byte-identically to the **pre-PR-8**
-    /// full-re-sort / always-probe implementation under all three policies.
-    /// These digests were captured from the committed code *before* the
-    /// incremental admission order and the dirty-tracked probe memo existed,
-    /// so any skip the memo takes that an always-probe pass would not have
-    /// taken — or any ordering slip in the incremental index — breaks a sum
-    /// here. This trace keeps the queue deep on purpose: it is the
-    /// admission-bound surface the machinery was built for.
+    /// full-re-sort / probe-everything implementation under all three
+    /// policies. These digests were captured from the committed code
+    /// *before* the incremental admission order and any count-based probe
+    /// skip existed, so a count guard that rejects a probe the full scan
+    /// would have passed — or any ordering slip in the incremental index —
+    /// breaks a sum here. This trace keeps the queue deep on purpose: it is
+    /// the admission-bound surface the machinery was built for.
     #[test]
     fn queue_churn_replay_is_pinned_for_all_policies() {
         let sim = ClusterSim::new(32, 16);

@@ -408,8 +408,8 @@ pub fn reservation_heavy_trace(
 /// full-width minority (including a cluster-quarter-wide blocker class)
 /// keeps the queue head blocked most of the time, so the passes are
 /// dominated by *failed* admission probes over the whole waiting queue —
-/// exactly the per-pass O(queue log queue) sort + O(queue) re-probe cost
-/// the admission-order index and the dirty-tracked probing exist to remove.
+/// exactly the per-pass O(queue log queue) sort + O(queue × nodes) re-probe
+/// cost the admission-order index and the count histograms exist to remove.
 /// `cluster_sweep --tier queue-churn` drives it; the CI `--scan` smoke
 /// replays it differentially against the reference scan.
 pub fn queue_churn_trace(

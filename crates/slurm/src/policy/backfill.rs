@@ -4,9 +4,9 @@ use std::borrow::Cow;
 
 use drom_metrics::TimeUs;
 
-use super::admission::{admission_iter, ProbeMemo};
+use super::admission::admission_iter;
 use super::placement::{
-    admit_fcfs, earliest_timeline_fit, fit_first, start_actions, FreeHist, TimelineDelta,
+    admit_fcfs, earliest_timeline_fit, fit_first, start_actions, take_cpus, TimelineDelta,
 };
 use super::{ClusterView, QueuedJob, SchedulerAction, SchedulerPolicy};
 
@@ -22,42 +22,31 @@ use super::{ClusterView, QueuedJob, SchedulerAction, SchedulerPolicy};
 ///
 /// The pass is the shared FCFS admission phase followed by reservation +
 /// backfill. It walks the maintained [`AdmissionOrder`](super::AdmissionOrder)
-/// (no queue sort) and keeps a probe memo over count-proven fit failures: a
-/// memo-valid FCFS job ends the FCFS phase exactly like a re-probed failure
-/// would (it becomes the reserved head — never leapfrogged, because the
-/// reservation and the end-before-it guarantee are recomputed every pass),
-/// and a memo-valid backfill candidate is passed over exactly like its
-/// re-probed count failure would be.
+/// (no queue sort); the job that blocks the FCFS phase becomes the reserved
+/// head, and the backfill candidates are guarded by the same pass-local
+/// free-CPU histogram the FCFS phase carried forward from the index.
+// Braced, not a unit struct: every driver builds it with `::default()`.
 #[derive(Debug, Default, Clone)]
-pub struct BackfillPolicy {
-    pub(super) memo: ProbeMemo,
-}
+pub struct BackfillPolicy {}
 
 impl SchedulerPolicy for BackfillPolicy {
     fn name(&self) -> &'static str {
         "backfill"
     }
 
-    // ALLOC(pass): backfill working set — the reservation overlay and the
-    // free-count histogram are built once per pass that reserves.
-    // PANIC: fit indices stay within the shadow free vector.
+    // ALLOC(pass): backfill working set — the reservation overlay is built
+    // once per pass that reserves.
     fn schedule(
         &mut self,
         view: &ClusterView<'_>,
         queue: &[QueuedJob],
         now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
-        self.memo.sync_epoch(view.index.epoch());
         let mut free = Cow::Borrowed(view.free());
+        let mut hist = Cow::Borrowed(view.index.free_hist());
         let mut admitted = Vec::new();
         let mut ordered = admission_iter(view, queue);
-        let Some(head) = admit_fcfs(
-            &mut ordered,
-            &mut self.memo,
-            view.index,
-            &mut free,
-            &mut admitted,
-        ) else {
+        let Some(head) = admit_fcfs(&mut ordered, &mut free, &mut hist, &mut admitted) else {
             return start_actions(admitted);
         };
         // Reserve the head job's start at the earliest provable fit: walk
@@ -84,10 +73,6 @@ impl SchedulerPolicy for BackfillPolicy {
         ) else {
             return start_actions(admitted); // no provable reservation: nothing may jump
         };
-        // Exact reject guard for the candidates below: a fit at `width`
-        // exists iff enough nodes carry ≥ `width` free CPUs, so a failed
-        // count skips the O(nodes) probe without changing any decision.
-        let mut hist = FreeHist::new(&free, view.node_cpus, |_| true);
         for job in ordered {
             let Some(duration) = job.expected_duration_us else {
                 continue; // no limit declared: could delay the reservation
@@ -95,26 +80,19 @@ impl SchedulerPolicy for BackfillPolicy {
             if now_us.saturating_add(duration) > reservation_us {
                 continue;
             }
-            // The memo check sits behind the per-pass duration/window tests
-            // (those depend on the reservation, recomputed every pass, and
-            // cannot be memoized) and replaces only the count/fit probe — a
-            // memo-valid candidate is passed over exactly like a re-probed
-            // count failure, so the outcome is identical either way.
-            if self.memo.still_blocked(job, view.index, None) {
+            // Exact reject guard: a fit at `width` exists iff enough nodes
+            // carry ≥ `width` free CPUs, so a failed count skips the
+            // O(nodes) probe without changing any decision.
+            if hist.count_ge(job.cpus_per_node) < job.nodes {
                 continue;
             }
-            if hist.count_ge(job.cpus_per_node) < job.nodes {
-                self.memo
-                    .record(job.id, view.index.free_gen(job.cpus_per_node), None);
-                continue; // exact reject: no fit exists, skip the probe
-            }
             if let Some(node_indices) = fit_first(&free, None, job.nodes, job.cpus_per_node) {
-                self.memo.forget(job.id);
-                let free = free.to_mut();
-                for &idx in &node_indices {
-                    hist.update(free[idx], free[idx] - job.cpus_per_node);
-                    free[idx] -= job.cpus_per_node;
-                }
+                take_cpus(
+                    free.to_mut(),
+                    hist.to_mut(),
+                    &node_indices,
+                    job.cpus_per_node,
+                );
                 admitted.push((job, node_indices));
             }
         }

@@ -4,7 +4,7 @@ use std::borrow::Cow;
 
 use drom_metrics::TimeUs;
 
-use super::admission::{admission_iter, ProbeMemo};
+use super::admission::admission_iter;
 use super::placement::{admit_fcfs, start_actions};
 use super::{ClusterView, QueuedJob, SchedulerAction, SchedulerPolicy};
 
@@ -16,14 +16,11 @@ use super::{ClusterView, QueuedJob, SchedulerAction, SchedulerPolicy};
 ///
 /// The pass is the shared FCFS admission phase alone. It walks the
 /// maintained [`AdmissionOrder`](super::AdmissionOrder) (no queue sort) and
-/// keeps a probe memo: when the head's fit failure was count-proven and the
-/// free generation of its width class is unchanged, the pass ends without
-/// re-probing — head-of-line blocking means a still-blocked head blocks
-/// exactly as before, so the skip is decision-identical.
+/// asks the index's free-CPU histogram whether the head can fit at all: a
+/// blocked head ends the pass without scanning or copying a node vector.
+// Braced, not a unit struct: every driver builds it with `::default()`.
 #[derive(Debug, Default, Clone)]
-pub struct FirstFitPolicy {
-    pub(super) memo: ProbeMemo,
-}
+pub struct FirstFitPolicy {}
 
 impl SchedulerPolicy for FirstFitPolicy {
     fn name(&self) -> &'static str {
@@ -37,14 +34,13 @@ impl SchedulerPolicy for FirstFitPolicy {
         queue: &[QueuedJob],
         _now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
-        self.memo.sync_epoch(view.index.epoch());
         let mut free = Cow::Borrowed(view.free());
+        let mut hist = Cow::Borrowed(view.index.free_hist());
         let mut admitted = Vec::new();
         admit_fcfs(
             &mut admission_iter(view, queue),
-            &mut self.memo,
-            view.index,
             &mut free,
+            &mut hist,
             &mut admitted,
         );
         start_actions(admitted)

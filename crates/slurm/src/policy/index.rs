@@ -1,8 +1,8 @@
 //! The event-maintained scheduler index: per-node free / reclaimable CPUs,
-//! donor lists, dirty generations and the release timeline.
+//! donor lists, the free / availability count histograms and the release
+//! timeline.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use drom_metrics::TimeUs;
 
@@ -173,77 +173,63 @@ impl ReleaseTimeline {
 ///   r.alloc.cpus_per_node)}` over the running jobs whose estimate is
 ///   `Some`, in [`ReleaseTimeline`] canonical form — kept current by
 ///   [`on_estimate`](SchedIndex::on_estimate) whenever the driver refreshes
-///   an estimate.
+///   an estimate;
+/// * `free_hist` / `avail_hist` count, per CPU value, the nodes whose
+///   `free[n]` / `free[n] + reclaim[n]` currently equals it
+///   ([`free_hist`](SchedIndex::free_hist) /
+///   [`avail_hist`](SchedIndex::avail_hist)), which a pass borrows instead
+///   of counting nodes. Updated once per touched node by the same
+///   `move_width` that moves the columns, and part of the index's value:
+///   the rebuild oracle re-counts them from the columns, so a drifted
+///   counter fails the debug check like a drifted column does.
 ///
 /// Completion consistency is the driver's job: the trace engine tags its
 /// completion events with a generation counter and drops stale ones *before*
 /// calling [`PolicyScheduler::job_finished`](crate::PolicyScheduler::job_finished),
 /// so a completion superseded by a resize can never unwind the index twice.
-///
-/// On top of the per-node state the index keeps **per-width-class dirty
-/// generations** for the probe memo ([`free_gen`](Self::free_gen) /
-/// [`avail_gen`](Self::avail_gen)): `free_gen[w]` is bumped every time any
-/// node's free-CPU count rises from below `w` to at least `w`, and
-/// `avail_gen[w]` the same for free + reclaimable. An unchanged generation
-/// therefore proves no node entered width class `w` since it was read —
-/// the per-class count of qualifying nodes cannot have increased — which is
-/// what makes skipping a re-probe sound (see `docs/scheduling.md`). The
-/// generations are *not* part of the index's value ([`PartialEq`] ignores
-/// them): two equal cluster states reached through different event
-/// histories carry different generations by design.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedIndex {
     free: Vec<usize>,
     reclaim: Vec<usize>,
     cheap: Vec<usize>,
     donors: Vec<Vec<u64>>,
     timeline: ReleaseTimeline,
-    /// `free_gen[w]`: bumped when any node's free CPUs cross up into ≥ `w`.
-    /// Grown on demand — a class never crossed is generation 0.
-    free_gen: Vec<u64>,
-    /// `avail_gen[w]`: same for free + reclaimable CPUs.
-    avail_gen: Vec<u64>,
-    /// Unique per index instance (fresh on every `new`/`rebuild`), so a
-    /// probe memo recorded against one index can never validate against the
-    /// zeroed generations of a freshly rebuilt one.
-    epoch: u64,
+    free_hist: FreeHist,
+    avail_hist: FreeHist,
 }
 
-/// Source of unique [`SchedIndex::epoch`] values. Starts at 1 so an epoch of
-/// 0 can mean "no index seen yet" in a probe memo.
-static INDEX_EPOCH: AtomicU64 = AtomicU64::new(1);
-
-fn next_index_epoch() -> u64 {
-    // SAFETY(ordering): epoch allocator; only uniqueness matters.
-    INDEX_EPOCH.fetch_add(1, Ordering::Relaxed)
+/// Exact per-value histogram over a bounded per-node CPU count (free CPUs,
+/// or free + reclaimable; both are ≤ the node capacity): `counts[v]` nodes
+/// currently carry value `v`. [`count_ge`](Self::count_ge) answers "how many
+/// nodes offer at least `w`" in O(node capacity) — the admission guard that
+/// lets a scheduling pass reject a doomed fit or shrink probe without an
+/// O(nodes) scan. The guard is exact (a first-fit at `width` succeeds iff
+/// ≥ `nodes` nodes qualify), so skipping the scan never changes a decision.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FreeHist {
+    counts: Vec<usize>,
 }
 
-/// Bumps the generations of every width class the value `old → new` crossed
-/// up into (`old+1 ..= new`); a downward or flat move bumps nothing. The
-/// generation vector grows on demand, so rebuilt indices need no capacity.
-// PANIC: the vector is resized to `new + 1` right above the indexed range.
-pub(super) fn bump_gens(gens: &mut Vec<u64>, old: usize, new: usize) {
-    if new > old {
-        if gens.len() <= new {
-            gens.resize(new + 1, 0);
-        }
-        for g in &mut gens[old + 1..=new] {
-            *g += 1;
-        }
+impl FreeHist {
+    /// Number of tracked nodes with value ≥ `v` (0 when `v` exceeds the
+    /// capacity bound).
+    pub fn count_ge(&self, v: usize) -> usize {
+        self.counts.get(v..).map_or(0, |tail| tail.iter().sum())
+    }
+
+    /// A tracked node's value changed from `old` to `new`.
+    // PANIC: old/new widths stay within the capacity the histogram was sized with.
+    pub(super) fn update(&mut self, old: usize, new: usize) {
+        self.counts[old] -= 1;
+        self.counts[new] += 1;
+    }
+
+    /// A node carrying value `v` stops being tracked (it was reserved).
+    // PANIC: `v` is the value the node was counted under.
+    pub(super) fn remove(&mut self, v: usize) {
+        self.counts[v] -= 1;
     }
 }
-
-impl PartialEq for SchedIndex {
-    fn eq(&self, other: &Self) -> bool {
-        self.free == other.free
-            && self.reclaim == other.reclaim
-            && self.cheap == other.cheap
-            && self.donors == other.donors
-            && self.timeline == other.timeline
-    }
-}
-
-impl Eq for SchedIndex {}
 
 impl SchedIndex {
     /// An index over `num_nodes` empty nodes of `node_cpus` CPUs.
@@ -277,8 +263,11 @@ impl SchedIndex {
 
     /// Rebuilds the index from a free vector and the running jobs — how a
     /// driver without event-maintained state (tests, benches) builds the
-    /// index of a [`ClusterView`](super::ClusterView) one-shot.
-    // PANIC: running allocations index nodes inside the free vector.
+    /// index of a [`ClusterView`](super::ClusterView) one-shot. The count
+    /// histograms are sized by the widest node (free plus everything
+    /// allocated on it), which no free or available count can exceed.
+    // PANIC: running allocations index nodes inside the free vector; every
+    // counted value is ≤ the capacity the histograms were just sized with.
     pub fn rebuild(free: &[usize], running: &[RunningJob]) -> Self {
         let mut index = SchedIndex {
             free: free.to_vec(),
@@ -286,11 +275,14 @@ impl SchedIndex {
             cheap: vec![0; free.len()],
             donors: vec![Vec::new(); free.len()],
             timeline: ReleaseTimeline::new(),
-            free_gen: Vec::new(),
-            avail_gen: Vec::new(),
-            epoch: next_index_epoch(),
+            free_hist: FreeHist::default(),
+            avail_hist: FreeHist::default(),
         };
+        let mut capacity = free.to_vec();
         for r in running {
+            for &n in &r.alloc.node_indices {
+                capacity[n] += r.alloc.cpus_per_node;
+            }
             if r.job.malleable {
                 let spare = Self::spare(&r.job, r.alloc.cpus_per_node);
                 let cheap = Self::cheap_spare(&r.job, r.alloc.cpus_per_node);
@@ -306,6 +298,13 @@ impl SchedIndex {
                 r.alloc.cpus_per_node,
                 r.expected_end_us,
             );
+        }
+        let buckets = capacity.iter().max().map_or(0, |widest| widest + 1);
+        index.free_hist.counts = vec![0; buckets];
+        index.avail_hist.counts = vec![0; buckets];
+        for (&f, &r) in index.free.iter().zip(&index.reclaim) {
+            index.free_hist.counts[f] += 1;
+            index.avail_hist.counts[f + r] += 1;
         }
         index
     }
@@ -339,23 +338,16 @@ impl SchedIndex {
         &self.timeline
     }
 
-    /// Dirty generation of free-CPU width class `width`: bumped whenever any
-    /// node's free count crosses up into ≥ `width`. Unchanged ⟹ the number
-    /// of nodes with ≥ `width` free CPUs has not increased since it was read.
-    pub fn free_gen(&self, width: usize) -> u64 {
-        self.free_gen.get(width).copied().unwrap_or(0)
+    /// The maintained histogram over [`free`](Self::free): what a pass
+    /// borrows (and clones on its first start) instead of counting nodes.
+    pub fn free_hist(&self) -> &FreeHist {
+        &self.free_hist
     }
 
-    /// Dirty generation of availability (free + reclaimable) width class
-    /// `width` — same contract as [`free_gen`](Self::free_gen).
-    pub fn avail_gen(&self, width: usize) -> u64 {
-        self.avail_gen.get(width).copied().unwrap_or(0)
-    }
-
-    /// Unique instance epoch — what lets a probe memo detect that the index
-    /// it recorded against was rebuilt (fresh generations, all zero).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
+    /// The maintained histogram over free + reclaimable CPUs
+    /// ([`free`](Self::free) + [`reclaim`](Self::reclaim), node by node).
+    pub fn avail_hist(&self) -> &FreeHist {
+        &self.avail_hist
     }
 
     /// Per-job clamped spare width under the shrink bound.
@@ -374,10 +366,7 @@ impl SchedIndex {
 
     /// Moves `job`'s allocation on each of `node_indices` from `old_width`
     /// to `new_width` CPUs (0 = not allocated): the free / reclaim / cheap
-    /// columns and the dirty generations of every width class a node's free
-    /// or available count crossed up into. A start bumps nothing: it lowers
-    /// free CPUs, and lowers availability too (the malleable spare it adds,
-    /// `width − floor`, never exceeds the `width` it takes).
+    /// columns, and each touched node's entry in the two count histograms.
     // PANIC: allocations name nodes inside the driver's free vector.
     fn move_width(
         &mut self,
@@ -398,12 +387,9 @@ impl SchedIndex {
                 self.reclaim[n] = self.reclaim[n] + new_spare - old_spare;
                 self.cheap[n] = self.cheap[n] + new_cheap - old_cheap;
             }
-            bump_gens(&mut self.free_gen, old_free, self.free[n]);
-            bump_gens(
-                &mut self.avail_gen,
-                old_avail,
-                self.free[n] + self.reclaim[n],
-            );
+            self.free_hist.update(old_free, self.free[n]);
+            self.avail_hist
+                .update(old_avail, self.free[n] + self.reclaim[n]);
         }
     }
 
@@ -534,6 +520,18 @@ mod tests {
         assert_eq!(index.reclaim(), &[1, 1, 1]);
         assert_eq!(index.donors(1), &[1]);
         assert_eq!(index.donors(2), &[2]);
+        assert_eq!(index.free_hist().count_ge(7), 2);
+        // Availability is [12, 8, 4]: free plus one reclaimable CPU each.
+        assert_eq!(index.avail_hist().count_ge(8), 2);
+        // The histograms are part of the index's value: one counter moved
+        // by hand (node 1's 7 free counted as 8) and the oracle fails, with
+        // every per-node column still equal.
+        let mut drifted = index.clone();
+        drifted.free_hist.update(7, 8);
+        assert_ne!(drifted, SchedIndex::rebuild(&[11, 7, 3], &running));
+        let mut drifted = index.clone();
+        drifted.avail_hist.update(8, 9);
+        assert_ne!(drifted, SchedIndex::rebuild(&[11, 7, 3], &running));
         index.on_complete(&j1, &[0, 1], 5);
         index.on_complete(&j3, &[1, 2], 4);
         assert_eq!(index, SchedIndex::rebuild(&[16, 16, 7], &running[1..2]));

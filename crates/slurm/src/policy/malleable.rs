@@ -6,9 +6,9 @@ use std::collections::HashMap;
 
 use drom_metrics::TimeUs;
 
-use super::admission::{admission_iter, ProbeMemo};
-use super::index::{bump_gens, shrink_floor};
-use super::placement::{earliest_timeline_fit, fit_first, FreeHist, TimelineDelta};
+use super::admission::admission_iter;
+use super::index::{shrink_floor, FreeHist};
+use super::placement::{earliest_timeline_fit, fit_first, TimelineDelta};
 use super::{
     ClusterView, QueuedJob, RunningJob, SchedIndex, SchedulerAction, SchedulerPolicy, SpeedupCurve,
 };
@@ -71,14 +71,12 @@ pub struct MalleablePolicy {
     /// strict `gain ≥ loss` rule; a larger tolerance trades aggregate
     /// throughput for admitting (and thus responding to) more jobs sooner.
     pub(super) loss_tolerance_fp: u64,
-    pub(super) memo: ProbeMemo,
 }
 
 impl Default for MalleablePolicy {
     fn default() -> Self {
         MalleablePolicy {
             loss_tolerance_fp: SpeedupCurve::FP,
-            memo: ProbeMemo::default(),
         }
     }
 }
@@ -90,7 +88,6 @@ impl MalleablePolicy {
     pub fn with_loss_tolerance(tolerance_fp: u64) -> Self {
         MalleablePolicy {
             loss_tolerance_fp: tolerance_fp,
-            ..Self::default()
         }
     }
 }
@@ -224,12 +221,6 @@ pub(super) fn admission_gain(job: &QueuedJob, width: usize) -> u64 {
     }
 }
 
-/// Per-node availability: free plus reclaimable CPUs.
-// ALLOC(pass): one node-count-sized column per histogram (re)build.
-fn availability(free: &[usize], reclaim: &[usize]) -> Vec<usize> {
-    free.iter().zip(reclaim).map(|(f, r)| f + r).collect()
-}
-
 /// The indexed working state of one [`MalleablePolicy::schedule`] pass:
 /// per-node free and reclaimable CPUs plus the per-node donor index (slot
 /// positions of the malleable jobs holding CPUs there), every one maintained
@@ -239,40 +230,24 @@ fn availability(free: &[usize], reclaim: &[usize]) -> Vec<usize> {
 /// running jobs per node — victim selection reads `donors[node]`,
 /// availability reads `free[node] + reclaim[node]`.
 struct PassState<'a> {
-    node_cpus: usize,
     free: Vec<usize>,
     reclaim: Vec<usize>,
     cheap: Vec<usize>,
     donors: Vec<Vec<usize>>,
     slots: Vec<Slot<'a>>,
     /// Per-value histograms of free and free+reclaimable CPUs — the exact
-    /// reject guards that let admission attempts skip O(nodes) probes. The
-    /// `open_*` pair is restricted to non-reserved nodes: until
-    /// [`apply_reservation`](Self::apply_reservation) rebuilds them they
-    /// track all nodes. (Once reserved nodes exist, availability is only
-    /// ever asked about the open ones, so it has no all-node histogram.)
+    /// reject guards that let admission attempts skip O(nodes) probes,
+    /// cloned from the index's maintained ones. The `open_*` pair is
+    /// restricted to non-reserved nodes: until
+    /// [`apply_reservation`](Self::apply_reservation) takes the reserved
+    /// nodes out they track all nodes. (Once reserved nodes exist,
+    /// availability is only ever asked about the open ones, so it has no
+    /// all-node histogram.)
     free_hist: FreeHist,
     open_free_hist: FreeHist,
     open_avail_hist: FreeHist,
-    /// The view's index: the probe memo reads its generations, the drain
-    /// forecast walks its release timeline.
+    /// The view's index: the drain forecast walks its release timeline.
     index: &'a SchedIndex,
-    /// In-pass dirty counters, mirroring [`SchedIndex::free_gen`] for the
-    /// pass-local free vector: `raised[w]` counts the upward crossings into
-    /// width class `w` this pass's own shrinks caused. A memo skip is valid
-    /// only while `raised[request] == 0` — the index generations cannot see
-    /// pass-local movement. Never decremented: a rolled-back shrink leaves
-    /// the counter high, which can only disable a skip (conservative).
-    raised: Vec<u64>,
-    /// Plain (unreserved) availability — per-node free + reclaim as the
-    /// *index* accounts it, i.e. ignoring the reservation's donor stripping
-    /// — plus its histogram. `None` until a reservation lands (before that,
-    /// `open_avail_hist` *is* plain). Probe-memo availability failures must be
-    /// proven against this state, not the stripped one: the reservation
-    /// mask is recomputed every pass and can change with no generation
-    /// bump, so a stripped-count failure is not stable — a plain-count
-    /// failure is (plain availability only falls as jobs start).
-    plain_avail: Option<(Vec<usize>, FreeHist)>,
 }
 
 impl<'a> PassState<'a> {
@@ -306,21 +281,16 @@ impl<'a> PassState<'a> {
             // reference scan uses.
             donors.extend(ids.iter().map(|id| by_id[id]));
         }
-        let avail = availability(index.free(), index.reclaim());
-        let free_hist = FreeHist::new(index.free(), view.node_cpus, |_| true);
         PassState {
-            node_cpus: view.node_cpus,
             free: index.free().to_vec(),
             reclaim: index.reclaim().to_vec(),
             cheap: index.cheap().to_vec(),
             donors,
             slots,
-            open_free_hist: free_hist.clone(),
-            open_avail_hist: FreeHist::new(&avail, view.node_cpus, |_| true),
-            free_hist,
+            free_hist: index.free_hist().clone(),
+            open_free_hist: index.free_hist().clone(),
+            open_avail_hist: index.avail_hist().clone(),
             index,
-            raised: vec![0; view.node_cpus + 1],
-            plain_avail: None,
         }
     }
 
@@ -384,10 +354,6 @@ impl<'a> PassState<'a> {
             let new_free = self.free[n] + old_width - width;
             self.free_hist.update(self.free[n], new_free);
             self.open_free_hist.update(self.free[n], new_free);
-            // A shrink is the only pass-local upward free movement: flag the
-            // crossed width classes so the probe memo stops skipping on
-            // them (a rollback moves down and bumps nothing).
-            bump_gens(&mut self.raised, self.free[n], new_free);
             self.free[n] = new_free;
             self.reclaim[n] = self.reclaim[n] + width - old_width;
             self.cheap[n] = self.cheap[n] - old_cheap + new_cheap;
@@ -478,35 +444,20 @@ impl<'a> PassState<'a> {
                 self.open_free_hist.update(old_free, self.free[n]);
                 self.open_avail_hist.update(old_avail, new_avail);
             }
-            // Plain availability follows index semantics: a malleable start
-            // donates its spare whether or not it overlaps the reservation.
-            if let Some((plain, plain_hist)) = &mut self.plain_avail {
-                let new_plain = plain[n] - width + if slot.malleable { spare } else { 0 };
-                plain_hist.update(plain[n], new_plain);
-                plain[n] = new_plain;
-            }
         }
         self.slots.push(slot);
     }
 
-    /// Records a freshly placed reservation: overlapping jobs stop donating
-    /// (their reclaimable spare leaves the summary, they are filtered from
-    /// victim selection) and reserved nodes stop being admission targets.
-    /// Runs at most once per pass, so the availability histograms are simply
-    /// rebuilt in one O(nodes) sweep (free CPUs are untouched here, the
-    /// all-node free histogram stands).
-    // ALLOC(pass): rebuilds the masked donor view when a reservation overlaps.
-    // PANIC: the reservation mask is node-count sized.
-    fn apply_reservation(&mut self, mask: &[bool]) {
-        // Snapshot the plain availability before the donor stripping below:
-        // at this point `open_avail_hist` still histograms exactly free +
-        // reclaim over all nodes (starts so far updated it plain, shrinks
-        // leave it unchanged), so the clone *is* the plain histogram. The
-        // probe memo records availability failures against this state — the
-        // only one whose failures are stable across passes (see the field's
-        // doc).
-        let plain = availability(&self.free, &self.reclaim);
-        self.plain_avail = Some((plain, self.open_avail_hist.clone()));
+    /// Records a freshly placed reservation on `nodes` (flagged in `mask`):
+    /// overlapping jobs stop donating (their reclaimable spare leaves the
+    /// summary, they are filtered from victim selection) and reserved nodes
+    /// stop being admission targets. Runs at most once per pass, while the
+    /// open histograms still track every node: the stripped spare moves each
+    /// touched node's availability entry, then the reserved nodes' entries
+    /// leave both (free CPUs are untouched, the all-node free histogram
+    /// stands).
+    // PANIC: the reservation mask and per-node columns are node-count sized.
+    fn apply_reservation(&mut self, nodes: &[usize], mask: &[bool]) {
         for slot in self.slots.iter_mut() {
             if slot.node_indices.iter().any(|&n| mask[n]) {
                 slot.reserved_overlap = true;
@@ -514,24 +465,17 @@ impl<'a> PassState<'a> {
                     let spare = slot.spare();
                     let cheap = slot.zero_cost_spare();
                     for &n in slot.node_indices.iter() {
+                        let avail = self.free[n] + self.reclaim[n];
+                        self.open_avail_hist.update(avail, avail - spare);
                         self.reclaim[n] -= spare;
                         self.cheap[n] -= cheap;
                     }
                 }
             }
         }
-        let avail = availability(&self.free, &self.reclaim);
-        self.open_free_hist = FreeHist::new(&self.free, self.node_cpus, |n| !mask[n]);
-        self.open_avail_hist = FreeHist::new(&avail, self.node_cpus, |n| !mask[n]);
-    }
-
-    /// Number of nodes whose **plain** availability (free + reclaim under
-    /// index semantics, no reservation stripping) is ≥ `width` — the count
-    /// the probe memo's availability failures are proven against.
-    fn plain_avail_count_ge(&self, width: usize) -> usize {
-        match &self.plain_avail {
-            Some((_, hist)) => hist.count_ge(width),
-            None => self.open_avail_hist.count_ge(width),
+        for &n in nodes {
+            self.open_free_hist.remove(self.free[n]);
+            self.open_avail_hist.remove(self.free[n] + self.reclaim[n]);
         }
     }
 }
@@ -550,8 +494,6 @@ impl SchedulerPolicy for MalleablePolicy {
         now_us: TimeUs,
     ) -> Vec<SchedulerAction> {
         let mut state = PassState::new(view);
-        let index = state.index;
-        self.memo.sync_epoch(index.epoch());
         // Reservation for the first job that could not be admitted at all:
         // (earliest provable start time, per-node reserved flag). The flag
         // vector is shared by every later admission attempt of the pass —
@@ -560,43 +502,18 @@ impl SchedulerPolicy for MalleablePolicy {
         let mut reservation: Option<(TimeUs, Vec<bool>)> = None;
 
         for job in admission_iter(view, queue) {
-            // A memo-valid job is provably still unadmittable (no width
-            // class it needs gained nodes since its count-proven failure,
-            // neither in the index nor from this pass's own shrinks), so it
-            // falls straight through to the not-admitted flow below — the
-            // reservation forecast is still paid, exactly as a re-probed
-            // failure would.
-            if !self.memo.still_blocked(job, index, Some(&state.raised)) {
-                let placement = Self::plan_admission(job, &state, &reservation, now_us);
-                if let Some((node_indices, width)) = placement {
-                    // Carve out the CPUs: shrink victims until every selected
-                    // node has `width` free, then allocate — unless the donors'
-                    // aggregate rate loss exceeds the newcomer's gain, in which
-                    // case the carve rolls itself back and the job falls through
-                    // to the reservation path below.
-                    let gain = node_indices.len() as u128 * admission_gain(job, width) as u128;
-                    if state.carve_out(&node_indices, width, gain, self.loss_tolerance_fp) {
-                        let reserved_mask = reservation.as_ref().map(|(_, m)| m.as_slice());
-                        state.start(job, node_indices, width, now_us, reserved_mask);
-                        self.memo.forget(job.id);
-                        continue;
-                    }
-                } else {
-                    // Record only *count-proven* failures: the plain fit
-                    // count and the plain availability count at the shrink
-                    // floor both fall short. Mask- or economics-induced
-                    // failures are never recorded — they depend on per-pass
-                    // state the generations cannot witness.
-                    let floor = shrink_floor(job.min_cpus_per_node, job.cpus_per_node);
-                    if state.free_hist.count_ge(job.cpus_per_node) < job.nodes
-                        && state.plain_avail_count_ge(floor) < job.nodes
-                    {
-                        self.memo.record(
-                            job.id,
-                            index.free_gen(job.cpus_per_node),
-                            Some(index.avail_gen(floor)),
-                        );
-                    }
+            let placement = Self::plan_admission(job, &state, &reservation, now_us);
+            if let Some((node_indices, width)) = placement {
+                // Carve out the CPUs: shrink victims until every selected
+                // node has `width` free, then allocate — unless the donors'
+                // aggregate rate loss exceeds the newcomer's gain, in which
+                // case the carve rolls itself back and the job falls through
+                // to the reservation path below.
+                let gain = node_indices.len() as u128 * admission_gain(job, width) as u128;
+                if state.carve_out(&node_indices, width, gain, self.loss_tolerance_fp) {
+                    let reserved_mask = reservation.as_ref().map(|(_, m)| m.as_slice());
+                    state.start(job, node_indices, width, now_us, reserved_mask);
+                    continue;
                 }
             }
             if reservation.is_some() {
@@ -608,7 +525,7 @@ impl SchedulerPolicy for MalleablePolicy {
                     for &n in &nodes {
                         mask[n] = true;
                     }
-                    state.apply_reservation(&mask);
+                    state.apply_reservation(&nodes, &mask);
                     reservation = Some((at_us, mask));
                 }
                 // No provable drain (a holder lacks an estimate): stop

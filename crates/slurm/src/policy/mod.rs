@@ -25,18 +25,19 @@
 //! The [`PolicyScheduler`](crate::PolicyScheduler) applies (and validates)
 //! the returned [`SchedulerAction`]s, so a buggy policy cannot oversubscribe
 //! a node. The scheduler also maintains a [`SchedIndex`] — per-node free /
-//! reclaimable CPUs and donor lists, updated event-by-event — and an
-//! [`AdmissionOrder`] over the waiting queue; every [`ClusterView`] carries
-//! both, so a pass never rescans the running set or re-sorts the queue
+//! reclaimable CPUs, donor lists and the node-count histograms over them,
+//! updated event-by-event — and an [`AdmissionOrder`] over the waiting
+//! queue; every [`ClusterView`] carries both, so a pass never rescans the
+//! running set, counts nodes or re-sorts the queue
 //! ([`MalleableScanPolicy`] preserves the pre-index reference for
 //! differential tests and benches). `docs/scheduling.md` documents the exact
 //! semantics of each policy, the complexity budget, and how a shrink
 //! composes with the registry's pending-mask rules.
 //!
-//! Layout: `curve` (speedup curves), `index` (the [`SchedIndex`] and its
-//! release timeline), `admission` (the maintained order and the probe memo),
-//! `placement` (first-fit, the histogram guard, the FCFS phase and the
-//! timeline forecast every policy shares), one file per policy, and
+//! Layout: `curve` (speedup curves), `index` (the [`SchedIndex`], its count
+//! histograms and its release timeline), `admission` (the maintained order),
+//! `placement` (first-fit, the FCFS phase and the timeline forecast every
+//! policy shares), one file per policy, and
 //! `reference` (the pre-index implementations the differential tests and
 //! benches compare against).
 
@@ -59,7 +60,7 @@ pub use admission::AdmissionOrder;
 pub use backfill::BackfillPolicy;
 pub use curve::SpeedupCurve;
 pub use first_fit::FirstFitPolicy;
-pub use index::{ReleaseTimeline, SchedIndex};
+pub use index::{FreeHist, ReleaseTimeline, SchedIndex};
 pub use malleable::MalleablePolicy;
 pub use reference::MalleableScanPolicy;
 

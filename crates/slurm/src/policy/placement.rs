@@ -1,13 +1,13 @@
 //! Placement machinery every policy shares: first-fit over the free vector
-//! (optionally masking reserved nodes), the exact histogram reject guard,
-//! the FCFS admission phase, and the release-timeline forecast.
+//! (optionally masking reserved nodes), the FCFS admission phase behind the
+//! index's exact count guard, and the release-timeline forecast.
 
 use std::borrow::Cow;
 
 use drom_metrics::TimeUs;
 
-use super::admission::ProbeMemo;
-use super::{QueuedJob, ReleaseTimeline, SchedIndex, SchedulerAction};
+use super::index::FreeHist;
+use super::{QueuedJob, ReleaseTimeline, SchedulerAction};
 
 /// One pass-local adjustment layered over a base [`ReleaseTimeline`] during
 /// a forecast walk: at `end_us`, each node of `node_indices` releases
@@ -100,48 +100,6 @@ pub(super) fn earliest_timeline_fit(
     }
 }
 
-/// Exact per-value histogram over a bounded CPU-count vector (free CPUs, or
-/// free + reclaimable; both are ≤ the node capacity): `counts[v]` nodes
-/// currently carry value `v`. [`count_ge`](Self::count_ge) answers "how many
-/// nodes offer at least `w`" in O(node capacity) — the O(1)-per-node-count
-/// admission guard that lets a scheduling pass reject a doomed fit or
-/// shrink probe without an O(nodes) scan. The guard is exact in the reject
-/// direction (a first-fit at `width` succeeds iff ≥ `nodes` nodes qualify),
-/// so skipping the scan never changes a decision.
-#[derive(Clone)]
-pub(super) struct FreeHist {
-    counts: Vec<usize>,
-}
-
-impl FreeHist {
-    /// Histogram of `values` (each ≤ `cap`), counting only nodes where
-    /// `tracked` holds.
-    // ALLOC(pass): bucket vector sized by the node-CPU cap, once per memo.
-    // PANIC: every tracked value is ≤ cap by the caller contract.
-    pub(super) fn new(values: &[usize], cap: usize, tracked: impl Fn(usize) -> bool) -> Self {
-        let mut counts = vec![0; cap + 1];
-        for (n, &v) in values.iter().enumerate() {
-            if tracked(n) {
-                counts[v] += 1;
-            }
-        }
-        FreeHist { counts }
-    }
-
-    /// Number of tracked nodes with value ≥ `v` (0 when `v` exceeds the
-    /// capacity bound).
-    pub(super) fn count_ge(&self, v: usize) -> usize {
-        self.counts.get(v..).map_or(0, |tail| tail.iter().sum())
-    }
-
-    /// A tracked node's value changed from `old` to `new`.
-    // PANIC: old/new widths stay within the cap the histogram was sized with.
-    pub(super) fn update(&mut self, old: usize, new: usize) {
-        self.counts[old] -= 1;
-        self.counts[new] += 1;
-    }
-}
-
 /// First-fit placement: the first `nodes` nodes (in index order) with at
 /// least `width` free CPUs, skipping the nodes `reserved` flags (the
 /// shared-mask equivalent of masking the free vector to zero, without
@@ -190,43 +148,51 @@ pub(super) fn fit_first(
 /// (pushed onto `admitted`), until one is blocked. Returns that blocked head
 /// (`None` when every job started) with `jobs` positioned right after it.
 ///
-/// Per job: memo check → fit → start, or record and stop. A memo-valid job
-/// is provably still blocked and ends the phase without a probe, exactly
-/// like the re-probed failure would; a fresh failure is count-proven
-/// (`fit_first` fails iff fewer than `nodes` nodes carry ≥ `width` free
-/// CPUs) and this pass's own starts only lowered free CPUs, so the recorded
-/// generation over-approximates the blocked state — sound to skip on while
-/// unchanged. `free` stays borrowed until the first start: a fully blocked
-/// pass (the common case under load) allocates nothing at all.
+/// Per job: count → fit → start, or stop. `hist` counts the nodes of `free`
+/// per free-CPU value, so fewer than `nodes` nodes at ≥ `width` is an exact
+/// no-fit: the blocked head ends the phase without a scan. Both stay
+/// borrowed from the index until the first start, so a fully blocked pass
+/// (the common case under load) allocates nothing at all.
 // ALLOC(pass): one candidate node vector per admitted job.
 // PANIC: fit results index the free vector they were computed from.
 pub(super) fn admit_fcfs<'q>(
     jobs: &mut impl Iterator<Item = &'q QueuedJob>,
-    memo: &mut ProbeMemo,
-    index: &SchedIndex,
     free: &mut Cow<'_, [usize]>,
+    hist: &mut Cow<'_, FreeHist>,
     admitted: &mut Vec<(&'q QueuedJob, Vec<usize>)>,
 ) -> Option<&'q QueuedJob> {
     for job in jobs {
-        if memo.still_blocked(job, index, None) {
-            #[cfg(test)]
-            if memo.skip_continues() {
-                continue; // the widened-skip hazard
-            }
+        if hist.count_ge(job.cpus_per_node) < job.nodes {
             return Some(job);
         }
         let Some(node_indices) = fit_first(free, None, job.nodes, job.cpus_per_node) else {
-            memo.record(job.id, index.free_gen(job.cpus_per_node), None);
             return Some(job);
         };
-        let free = free.to_mut();
-        for &idx in &node_indices {
-            free[idx] -= job.cpus_per_node;
-        }
-        memo.forget(job.id);
+        take_cpus(
+            free.to_mut(),
+            hist.to_mut(),
+            &node_indices,
+            job.cpus_per_node,
+        );
         admitted.push((job, node_indices));
     }
     None
+}
+
+/// Takes `width` CPUs on each of `node_indices` out of `free`, keeping its
+/// histogram current.
+// PANIC: fit results index the free vector they were computed from.
+pub(super) fn take_cpus(
+    free: &mut [usize],
+    hist: &mut FreeHist,
+    node_indices: &[usize],
+    width: usize,
+) {
+    for &idx in node_indices {
+        let f = &mut free[idx];
+        hist.update(*f, *f - width);
+        *f -= width;
+    }
 }
 
 /// The action list of a first-fit / backfill pass: every admitted job

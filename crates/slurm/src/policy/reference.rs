@@ -1,8 +1,7 @@
 //! Reference implementations — safety code the production policies are
 //! differentially tested against, kept out of the production pass: the
 //! pre-index [`MalleableScanPolicy`], the holder-replay reservation
-//! forecast, the from-scratch admission sort, and the `always_probe()`
-//! policy variants that never consult the probe memo. Used by the
+//! forecast and the from-scratch admission sort. Used by the
 //! differential tests, `cluster_sweep --scan`, `sched_scale` and
 //! `sched_guard`; `drom_lint` treats the `schedule` impls here as decision
 //! entries (determinism and panic rules apply) but not pass entries, so the
@@ -10,45 +9,12 @@
 
 use drom_metrics::TimeUs;
 
-use super::admission::{ProbeMemo, Probing};
 use super::index::shrink_floor;
 use super::malleable::{admission_gain, emit_actions, expand_shrunk, Slot};
 use super::placement::fit_first;
-use super::{
-    BackfillPolicy, ClusterView, FirstFitPolicy, MalleablePolicy, QueuedJob, SchedulerAction,
-    SchedulerPolicy, SpeedupCurve,
-};
-
-impl FirstFitPolicy {
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        FirstFitPolicy {
-            memo: ProbeMemo::with(Probing::AlwaysProbe),
-        }
-    }
-}
-
-impl BackfillPolicy {
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        BackfillPolicy {
-            memo: ProbeMemo::with(Probing::AlwaysProbe),
-        }
-    }
-}
-
-impl MalleablePolicy {
-    /// The conservative variant that never skips a probe — the
-    /// byte-identical differential surface for the dirty-tracked default.
-    pub fn always_probe() -> Self {
-        MalleablePolicy {
-            memo: ProbeMemo::with(Probing::AlwaysProbe),
-            ..Self::default()
-        }
-    }
-}
+#[cfg(doc)]
+use super::MalleablePolicy;
+use super::{ClusterView, QueuedJob, SchedulerAction, SchedulerPolicy, SpeedupCurve};
 
 /// Queue order shared by all built-in policies: priority (desc), submission
 /// time, id.

@@ -3,7 +3,6 @@
 
 use drom_metrics::TimeUs;
 
-use super::admission::{ProbeMemo, Probing};
 use super::curve::scaled_duration;
 use super::*;
 
@@ -647,14 +646,12 @@ fn from_spec_derives_widths() {
     assert_eq!(rigid.min_cpus_per_node, rigid.cpus_per_node);
 }
 
-/// Regression battery for the two ways a dirty-tracked skip could go
-/// wrong, each reproduced by a `#[cfg(test)]`-only policy variant that
-/// reintroduces the hazard on purpose. The sound (default) pass and the
-/// deliberately broken one run the same scenario: the broken one takes
-/// the wrong decision, proving the generation checks in
-/// [`ProbeMemo::still_blocked`] are what prevents it — with them
-/// bypassed, these tests fail exactly as a pre-fix implementation did.
-mod dirty_tracking_hazards {
+/// The scenarios a stale "still blocked" answer would get wrong, run
+/// against the count guard: the policies keep no state between passes, so
+/// what a pass knows about free CPUs is exactly what the index it is handed
+/// counts — a release the index saw unblocks the job on the next pass, and
+/// repeating a pass over unchanged state repeats its decision.
+mod blocked_then_released {
     use super::*;
 
     /// A rigid holder at full width with an optional completion estimate.
@@ -689,111 +686,62 @@ mod dirty_tracking_hazards {
         }
     }
 
-    /// TEST ONLY: trusts stale signatures (hazard: a missed release).
-    fn unsound_stale_skip() -> ProbeMemo {
-        ProbeMemo::with(Probing::UnsoundStaleSkip)
-    }
-
-    /// Hazard (a), first-fit: a job is recorded blocked, then a release
-    /// lands on its nodes. The sound pass re-probes (the release bumped
-    /// the free generation of its width class) and starts it; a pass
-    /// that trusts the stale signature skips the job forever.
-    #[test]
-    fn missed_release_must_invalidate_a_recorded_block_first_fit() {
+    /// (a) A job blocked on one pass starts on the next, once the holder's
+    /// completion reached the index — the same policy value both times.
+    fn release_unblocks_a_blocked_job(policy: &mut dyn SchedulerPolicy) {
         let holder = [rigid_holder(10, vec![0], 16, None)];
-        let free_before = [0usize];
-        let mut index = SchedIndex::rebuild(&free_before, &holder);
+        let mut index = SchedIndex::rebuild(&[0], &holder);
         let queue = vec![QueuedJob::new(1, 1, 16)];
-
-        let mut sound = FirstFitPolicy::default();
-        let mut probe = FirstFitPolicy::always_probe();
-        let mut unsound = FirstFitPolicy {
-            memo: unsound_stale_skip(),
-        };
         let order = AdmissionOrder::from_queue(&queue);
+        assert_eq!(index.free_hist().count_ge(16), 0);
         let before = iview(&holder, &index, &order);
-        assert!(sound.schedule(&before, &queue, 0).is_empty());
-        assert!(probe.schedule(&before, &queue, 0).is_empty());
-        assert!(unsound.schedule(&before, &queue, 0).is_empty());
+        assert!(
+            policy.schedule(&before, &queue, 0).is_empty(),
+            "the node is fully held, the job is blocked"
+        );
 
-        // The holder completes: the driver frees the node and feeds the
-        // event to the index, bumping every width class the release
-        // crossed (1..=16) — the recorded signature is now stale.
+        // The holder completes: the driver feeds the event to the index,
+        // which moves the node's histogram entry from 0 to 16 free.
         index.on_complete(&holder[0].job, &[0], 16);
         assert_eq!(index.free(), &[16]);
+        assert_eq!(index.free_hist().count_ge(16), 1);
         let after = iview(&[], &index, &order);
-
-        let expected = probe.schedule(&after, &queue, 1);
         assert_eq!(
-            expected.len(),
-            1,
-            "the always-probe reference starts the job after the release"
-        );
-        assert_eq!(
-            sound.schedule(&after, &queue, 1),
-            expected,
-            "the dirty-tracked pass must re-probe after the release"
-        );
-        assert!(
-            unsound.schedule(&after, &queue, 1).is_empty(),
-            "hazard reproduced: trusting the stale signature skips the \
-             now-startable job — the generation check is load-bearing"
+            policy.schedule(&after, &queue, 1),
+            vec![SchedulerAction::Start {
+                job_id: 1,
+                node_indices: vec![0],
+                cpus_per_node: 16,
+            }],
+            "the released node admits the job on the next pass"
         );
     }
 
-    /// Hazard (a), malleable: same missed-release shape through the
-    /// malleable pass (whose signatures also witness the availability
-    /// generation at the shrink floor).
+    /// (a) through the shared FCFS phase.
     #[test]
-    fn missed_release_must_invalidate_a_recorded_block_malleable() {
-        let holder = [rigid_holder(10, vec![0], 16, None)];
-        let free_before = [0usize];
-        let mut index = SchedIndex::rebuild(&free_before, &holder);
-        let queue = vec![QueuedJob::new(1, 1, 16)];
-
-        let mut sound = MalleablePolicy::default();
-        let mut probe = MalleablePolicy::always_probe();
-        let mut unsound = MalleablePolicy {
-            memo: unsound_stale_skip(),
-            ..MalleablePolicy::default()
-        };
-        let order = AdmissionOrder::from_queue(&queue);
-        let before = iview(&holder, &index, &order);
-        assert!(sound.schedule(&before, &queue, 0).is_empty());
-        assert!(probe.schedule(&before, &queue, 0).is_empty());
-        assert!(unsound.schedule(&before, &queue, 0).is_empty());
-
-        index.on_complete(&holder[0].job, &[0], 16);
-        assert_eq!(index.free(), &[16]);
-        let after = iview(&[], &index, &order);
-
-        let expected = probe.schedule(&after, &queue, 1);
-        assert_eq!(expected.len(), 1);
-        assert_eq!(
-            sound.schedule(&after, &queue, 1),
-            expected,
-            "the dirty-tracked malleable pass must re-probe after the release"
-        );
-        assert!(
-            unsound.schedule(&after, &queue, 1).is_empty(),
-            "hazard reproduced: the stale signature skips the startable job"
-        );
+    fn release_unblocks_a_blocked_job_first_fit() {
+        release_unblocks_a_blocked_job(&mut FirstFitPolicy::default());
     }
 
-    /// Hazard (b), backfill: a memo-valid blocked FCFS job must *end the
-    /// FCFS phase* (become the reserved head), exactly like a re-probed
-    /// failure. A pass that instead skips onwards lets a later candidate
-    /// — whose declared duration overruns the head's reservation — start
-    /// in the head's place: the EASY guarantee is violated and the head
-    /// is leapfrogged.
+    /// (a) through the malleable pass (fit count and availability count at
+    /// the shrink floor both fall short before the release).
     #[test]
-    fn memo_valid_head_must_not_be_leapfrogged() {
+    fn release_unblocks_a_blocked_job_malleable() {
+        release_unblocks_a_blocked_job(&mut MalleablePolicy::default());
+    }
+
+    /// (b) Backfill: the job that blocks the FCFS phase becomes the
+    /// reserved head, and a candidate that fits *now* but whose declared
+    /// duration overruns the head's reservation is refused — on the first
+    /// pass and on a repeated pass over unchanged state alike (the EASY
+    /// guarantee: the head is never leapfrogged).
+    #[test]
+    fn blocked_head_is_not_leapfrogged_on_a_repeated_pass() {
         let holder = [rigid_holder(10, vec![0], 8, Some(100_000_000))];
-        let free = [8usize];
-        let index = SchedIndex::rebuild(&free, &holder);
+        let index = SchedIndex::rebuild(&[8], &holder);
         // Head wants the whole node (reserved at the holder's release,
-        // t = 100 s); the candidate fits *now* but runs 500 s — far past
-        // the reservation, so EASY must refuse it.
+        // t = 100 s); the candidate fits now but runs 500 s — far past the
+        // reservation, so EASY must refuse it.
         let queue = vec![
             QueuedJob::new(1, 1, 16).with_expected_duration_us(1_000_000_000),
             QueuedJob::new(2, 1, 8).with_expected_duration_us(500_000_000),
@@ -801,32 +749,27 @@ mod dirty_tracking_hazards {
         let order = AdmissionOrder::from_queue(&queue);
         let view = iview(&holder, &index, &order);
         let now = 10_000_000;
-
-        let mut sound = BackfillPolicy::default();
-        // On a memo-valid blocked head, keeps admitting followers (hazard:
-        // a stale-signature candidate leapfrogs the EASY head).
-        let mut unsound = BackfillPolicy {
-            memo: ProbeMemo::with(Probing::UnsoundSkipContinues),
-        };
-        // Pass 1 probes the head fresh and records its count-proven
-        // failure; the candidate is refused by the reservation window.
-        assert!(sound.schedule(&view, &queue, now).is_empty());
-        assert!(unsound.schedule(&view, &queue, now).is_empty());
-        // Pass 2, unchanged state: the head's signature is memo-valid.
+        let mut policy = BackfillPolicy::default();
+        for pass in 1..=2 {
+            assert!(
+                policy.schedule(&view, &queue, now).is_empty(),
+                "pass {pass}: the blocked head stays the reserved head — \
+                 the overrunning candidate must not start"
+            );
+        }
+        // The same candidate with a duration inside the window does jump,
+        // so the refusal above is the reservation's doing, not the fit's.
+        let mut short = queue.clone();
+        short[1] = QueuedJob::new(2, 1, 8).with_expected_duration_us(50_000_000);
+        let order = AdmissionOrder::from_queue(&short);
+        let view = iview(&holder, &index, &order);
+        let actions = policy.schedule(&view, &short, now);
         assert!(
-            sound.schedule(&view, &queue, now).is_empty(),
-            "the memo-valid head stays the reserved head — nothing starts"
-        );
-        let leapfrog = unsound.schedule(&view, &queue, now);
-        assert_eq!(
-            leapfrog.len(),
-            1,
-            "hazard reproduced: skipping past the memo-valid head admits \
-             a candidate the reservation window forbids: {leapfrog:?}"
-        );
-        assert!(
-            matches!(leapfrog[0], SchedulerAction::Start { job_id: 2, .. }),
-            "the overrunning candidate leapfrogged the EASY head"
+            matches!(
+                actions.as_slice(),
+                [SchedulerAction::Start { job_id: 2, .. }]
+            ),
+            "a candidate ending before the reservation backfills: {actions:?}"
         );
     }
 }

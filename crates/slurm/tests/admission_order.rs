@@ -1,7 +1,8 @@
 //! Differential battery for the incremental admission order and the
-//! dirty-tracked probe memo (PR 8's tentpole machinery).
+//! index's maintained count histograms.
 //!
-//! Three properties pin the new fast paths to the old exhaustive ones:
+//! Three properties pin the event-maintained state to exhaustive
+//! recomputation:
 //!
 //! 1. **Order equivalence** — over arbitrary interleavings of submissions,
 //!    scheduling ticks, completions and requeues, the admission order the
@@ -13,12 +14,15 @@
 //!    (mutation check: flip any component of the key and this test fails
 //!    within a handful of cases).
 //!
-//! 2. **Probe-skip equivalence** — a dirty-tracked scheduler and an
-//!    always-probe twin fed the exact same event stream emit byte-identical
-//!    applied-action lists at every tick, for all three policies. Every
-//!    skip the memo takes must therefore be decision-free (mutation check:
-//!    widening a skip — e.g. ignoring a generation — diverges; the two
-//!    in-crate `Unsound*` hazard variants demonstrate exactly that).
+//! 2. **Count equivalence** — over the same interleavings (estimate
+//!    refreshes included), after every event and for every width from 0 to
+//!    one past the node capacity, the number of nodes the index says offer
+//!    ≥ that many free (and free + reclaimable) CPUs equals a naive
+//!    `filter().count()` over its per-node columns. Every count question a
+//!    pass asks is answered from those histograms, so this is what makes a
+//!    count-proven "blocked" exact (mutation check: drop one
+//!    `FreeHist::update` from `SchedIndex::move_width` and this fails on
+//!    the first start).
 //!
 //! 3. **One-shot equivalence** — the state a controller reached event by
 //!    event (its maintained `SchedIndex` and `AdmissionOrder`) and the same
@@ -108,8 +112,7 @@ fn apply(sched: &mut PolicyScheduler, op: Op, next_id: &mut u64, now: &mut u64) 
                 .tick(*now)
                 .expect("tick never fails on policy actions");
             // Refresh completion estimates the way the simulator driver
-            // does, deterministically from the job id so paired schedulers
-            // stay identical.
+            // does, deterministically from the job id.
             let running: Vec<u64> = sched.running().iter().map(|r| r.job.id).collect();
             for id in running {
                 sched.set_expected_end(id, Some(*now + (id % 7 + 1) * 700));
@@ -154,49 +157,42 @@ proptest! {
         }
     }
 
-    /// Property 2: dirty-tracked and always-probe schedulers replay the
-    /// same event stream to identical applied actions and identical state,
-    /// for all three policies. This is the action-list differential the
-    /// trace digests enforce end-to-end, shrunk to minimal counterexamples.
+    /// Property 2: after **every** event, under each policy's own event
+    /// mix, the index's maintained counts equal a naive count over its
+    /// per-node columns at every width, zero and one-past-capacity included.
     #[test]
-    fn dirty_tracked_passes_match_always_probe(
+    fn index_counts_match_a_naive_count_after_every_event(
         ops in proptest::collection::vec((0u8..5, any::<u64>(), any::<u64>()), 1..50),
     ) {
-        let pairs: [(Box<dyn SchedulerPolicy>, Box<dyn SchedulerPolicy>); 3] = [
-            (Box::new(FirstFitPolicy::default()), Box::new(FirstFitPolicy::always_probe())),
-            (Box::new(BackfillPolicy::default()), Box::new(BackfillPolicy::always_probe())),
-            (Box::new(MalleablePolicy::default()), Box::new(MalleablePolicy::always_probe())),
+        let policies: [Box<dyn SchedulerPolicy>; 3] = [
+            Box::new(FirstFitPolicy::default()),
+            Box::new(BackfillPolicy::default()),
+            Box::new(MalleablePolicy::default()),
         ];
-        for (tracked, probed) in pairs {
-            let name = tracked.name();
-            let mut a = PolicyScheduler::new(4, 16, tracked);
-            let mut b = PolicyScheduler::new(4, 16, probed);
-            let (mut id_a, mut id_b) = (1u64, 1u64);
-            let (mut now_a, mut now_b) = (0u64, 0u64);
-            for &(kind, x, y) in &ops {
-                let op = decode(kind, x, y);
-                if let Op::Tick { advance } = op {
-                    now_a += advance;
-                    now_b += advance;
-                    let acted_a = a.tick(now_a).unwrap();
-                    let acted_b = b.tick(now_b).unwrap();
+        for policy in policies {
+            let name = policy.name();
+            let mut sched = PolicyScheduler::new(4, 16, policy);
+            let (mut next_id, mut now) = (1u64, 0u64);
+            for &(kind, a, b) in &ops {
+                apply(&mut sched, decode(kind, a, b), &mut next_id, &mut now);
+                let index = sched.sched_index();
+                for width in 0..=sched.node_cpus() + 1 {
+                    let free = index.free().iter().filter(|&&f| f >= width).count();
+                    let avail = index
+                        .free()
+                        .iter()
+                        .zip(index.reclaim())
+                        .filter(|&(f, r)| f + r >= width)
+                        .count();
                     prop_assert_eq!(
-                        &acted_a, &acted_b,
-                        "{}: a dirty-tracked skip changed a decision", name
+                        index.free_hist().count_ge(width), free,
+                        "{}: free count drifted at width {}", name, width
                     );
-                    let running: Vec<u64> = a.running().iter().map(|r| r.job.id).collect();
-                    for id in running {
-                        a.set_expected_end(id, Some(now_a + (id % 7 + 1) * 700));
-                        b.set_expected_end(id, Some(now_b + (id % 7 + 1) * 700));
-                    }
-                } else {
-                    apply(&mut a, op, &mut id_a, &mut now_a);
-                    apply(&mut b, op, &mut id_b, &mut now_b);
+                    prop_assert_eq!(
+                        index.avail_hist().count_ge(width), avail,
+                        "{}: availability count drifted at width {}", name, width
+                    );
                 }
-                prop_assert_eq!(a.free_cpus(), b.free_cpus(), "{}: free drifted", name);
-                let qa: Vec<u64> = a.queue().iter().map(|j| j.id).collect();
-                let qb: Vec<u64> = b.queue().iter().map(|j| j.id).collect();
-                prop_assert_eq!(qa, qb, "{}: queue drifted", name);
             }
         }
     }

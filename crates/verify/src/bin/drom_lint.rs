@@ -68,16 +68,8 @@ fn main() -> ExitCode {
     let root = root.canonicalize().unwrap_or(root);
     let baseline_path = baseline_path.unwrap_or_else(|| root.join(rules::BASELINE_PATH));
 
-    // Layer 1: line rules.
-    let line_violations = match drom_verify::lint::lint_workspace(&root) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("drom_lint: failed to scan {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Layer 2: graph rules.
+    // One walk: the graph rules read and split every source, the line
+    // rules run over those same split lines.
     let analysis = match rules::analyze_workspace(&root) {
         Ok(a) => a,
         Err(e) => {
@@ -85,6 +77,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let line_violations = drom_verify::lint::lint_sources(&analysis.files);
 
     if let Some(query) = &why {
         match analysis.why(query) {

@@ -620,9 +620,9 @@ mod tests {
     #[test]
     fn qualified_path_impls() {
         let items = extract(
-            "impl std::hash::Hasher for JobIdHasher {\n    fn finish(&self) -> u64 { 0 }\n}\n",
+            "impl std::hash::Hasher for IdHasher {\n    fn finish(&self) -> u64 { 0 }\n}\n",
         );
-        assert_eq!(items.fns[0].qualified(), "JobIdHasher::finish");
+        assert_eq!(items.fns[0].qualified(), "IdHasher::finish");
         assert_eq!(items.fns[0].trait_name.as_deref(), Some("Hasher"));
     }
 
@@ -650,7 +650,7 @@ mod tests {
 
     #[test]
     fn tuple_structs_have_no_fields() {
-        let items = extract("struct JobIdHasher(u64);\nfn after() {}\n");
+        let items = extract("struct IdHasher(u64);\nfn after() {}\n");
         assert!(items.fields.is_empty());
         assert_eq!(items.fns.len(), 1);
     }

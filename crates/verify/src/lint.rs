@@ -27,6 +27,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use crate::items::SourceFile;
 use crate::lex::{split_lines, SplitLine};
 
 /// How many lines above an occurrence a justification comment may sit.
@@ -99,7 +100,11 @@ fn has_word(code: &str, word: &str) -> bool {
 /// Lints one file's source. `rel` is the path relative to the workspace root
 /// (used for rule exemptions and reporting).
 pub fn lint_file(rel: &Path, source: &str) -> Vec<Violation> {
-    let lines = split_lines(source);
+    lint_lines(rel, &split_lines(source))
+}
+
+/// The line rules over one file's comment-split lines.
+fn lint_lines(rel: &Path, lines: &[SplitLine]) -> Vec<Violation> {
     let mut violations = Vec::new();
     let rel_str = rel.to_string_lossy().replace('\\', "/");
     let relaxed_exempt = RELAXED_EXEMPT.iter().any(|e| rel_str == *e);
@@ -111,7 +116,7 @@ pub fn lint_file(rel: &Path, source: &str) -> Vec<Violation> {
         // relaxed-ordering-justification
         if !relaxed_exempt
             && (code.contains("Ordering::Relaxed") || code.contains("atomic::Ordering::Relaxed"))
-            && !justified(&lines, i, "SAFETY(ordering):")
+            && !justified(lines, i, "SAFETY(ordering):")
         {
             violations.push(Violation {
                 file: rel.to_path_buf(),
@@ -143,7 +148,7 @@ pub fn lint_file(rel: &Path, source: &str) -> Vec<Violation> {
         }
 
         // unsafe-needs-safety-comment
-        if has_word(code, "unsafe") && !justified(&lines, i, "SAFETY:") {
+        if has_word(code, "unsafe") && !justified(lines, i, "SAFETY:") {
             violations.push(Violation {
                 file: rel.to_path_buf(),
                 line: lineno,
@@ -156,50 +161,15 @@ pub fn lint_file(rel: &Path, source: &str) -> Vec<Violation> {
     violations
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping `target` and
-/// fixture directories. Results are sorted for deterministic reports.
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<_> = std::fs::read_dir(dir)?
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .collect();
-    entries.sort();
-    for path in entries {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        if path.is_dir() {
-            if name == "target" || name == "fixtures" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs_files(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Lints every `.rs` file under `<root>/crates` plus the workspace root
-/// package's `src/`, `tests/` and `examples/`, returning all violations.
-/// (`vendor/` stubs stand in for external crates and are not our code.)
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Violation>> {
-    let mut files = Vec::new();
-    for sub in ["crates", "src", "tests", "examples"] {
-        let dir = root.join(sub);
-        if dir.is_dir() {
-            collect_rs_files(&dir, &mut files)?;
-        }
-    }
-    let mut violations = Vec::new();
-    for path in &files {
-        let source = std::fs::read_to_string(path)?;
-        let rel = path.strip_prefix(root).unwrap_or(path);
-        violations.extend(lint_file(rel, &source));
-    }
-    Ok(violations)
+/// Runs the line rules over sources [`gather_workspace`] already read and
+/// split — the one workspace walk the graph rules use too.
+///
+/// [`gather_workspace`]: crate::rules::gather_workspace
+pub fn lint_sources(files: &[SourceFile]) -> Vec<Violation> {
+    files
+        .iter()
+        .flat_map(|f| lint_lines(Path::new(&f.rel), &f.lines))
+        .collect()
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 
 use std::path::Path;
 
-use drom_verify::lint::{lint_file, lint_workspace};
+use drom_verify::lint::{lint_file, lint_sources};
+use drom_verify::rules::gather_workspace;
 
 fn fixture(name: &str) -> String {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -55,7 +56,8 @@ fn workspace_tree_is_clean() {
         .join("../..")
         .canonicalize()
         .unwrap();
-    let violations = lint_workspace(&root).unwrap();
+    let (files, _) = gather_workspace(&root).unwrap();
+    let violations = lint_sources(&files);
     assert!(
         violations.is_empty(),
         "the workspace must lint clean:\n{}",
