@@ -60,13 +60,49 @@ enum Event {
     Completion { job_id: u64, gen: u64 },
 }
 
-/// Progress state of one running job: exact work accounting plus the
-/// generation of the currently valid completion event.
-struct RunModel {
+/// Run state of one running trace job — the replay loop's one per-job
+/// record, opened at the job's start and dropped at its completion.
+struct JobRun {
+    /// How the delivery rate derives from the allocation: linear CPU-µs for
+    /// model-less jobs (the PR 3/4 arithmetic, bit for bit), the job's
+    /// speedup curve otherwise — the same curve the scheduler's estimates
+    /// consult.
+    rate: JobRate,
+    /// Nodes of the allocation — the request's: a resize keeps the node set.
+    nodes: usize,
     /// Exact integer progress (work remaining, delivery rate).
     progress: JobProgress,
     /// Generation of the currently valid completion event.
     gen: u64,
+}
+
+impl JobRun {
+    /// `traced` starts at `width` CPUs per node: its whole work, declared at
+    /// full request width, is still to deliver.
+    fn start(traced: &TraceJob, width: usize, now: TimeUs) -> Self {
+        let rate = JobRate::for_job(&traced.job);
+        let nodes = traced.job.nodes;
+        JobRun {
+            progress: JobProgress::start_scaled(
+                rate.work(traced.duration_us),
+                rate.rate(nodes, width),
+                now,
+            ),
+            rate,
+            nodes,
+            gen: 0,
+        }
+    }
+
+    /// The job runs at `width` CPUs per node from `now` on (what the old
+    /// rate delivered until `now` is accounted first). Returns the
+    /// completion instant, valid under generation `gen` only.
+    fn run_at(&mut self, width: usize, now: TimeUs, gen: u64) -> TimeUs {
+        self.progress
+            .set_rate(now, self.rate.rate(self.nodes, width));
+        self.gen = gen;
+        self.progress.completion_us()
+    }
 }
 
 /// The outcome of replaying one trace under one policy.
@@ -155,7 +191,7 @@ impl ClusterSim {
     ///   node can ever host — the engine refuses to livelock on it.
     /// * [`SlurmError::InvalidAction`] if the policy emits an action the
     ///   cluster state cannot honour.
-    // PANIC: the rate/duration maps are keyed by every traced job id, and the
+    // PANIC: the trace-index map is keyed by every traced job id, and the
     // convergence guard flags a policy that stopped making progress — failing
     // fast on a broken engine invariant is the error contract here.
     pub fn run(
@@ -165,14 +201,10 @@ impl ClusterSim {
     ) -> Result<ClusterRunReport, SlurmError> {
         let mut sched = PolicyScheduler::new(self.num_nodes, self.node_cpus, policy);
         let policy_name = sched.policy_name();
-        let durations: HashMap<u64, TimeUs> =
-            trace.iter().map(|t| (t.job.id, t.duration_us)).collect();
-        // One rate definition per job: linear CPU-µs for model-less jobs
-        // (the PR 3/4 arithmetic, bit for bit), the job's speedup curve
-        // otherwise — the same curve the scheduler's estimates consult.
-        let rates: HashMap<u64, JobRate> = trace
+        let index_of: HashMap<u64, usize> = trace
             .iter()
-            .map(|t| (t.job.id, JobRate::for_job(&t.job)))
+            .enumerate()
+            .map(|(idx, t)| (t.job.id, idx))
             .collect();
 
         // Min-heap of (time, sequence, event); the sequence keeps same-instant
@@ -187,7 +219,7 @@ impl ClusterSim {
             seq += 1;
         }
 
-        let mut models: HashMap<u64, RunModel> = HashMap::new();
+        let mut runs: HashMap<u64, JobRun> = HashMap::new();
         let mut gen_counter: u64 = 0;
         let mut records: Vec<JobRecord> = Vec::new();
         let mut busy_cpu_us: u128 = 0;
@@ -211,7 +243,7 @@ impl ClusterSim {
             // earlier), and letting it stretch `last_t` would inflate the
             // capacity denominator of exactly the policies that resize.
             if let Event::Completion { job_id, gen } = event {
-                if !models.get(&job_id).is_some_and(|m| m.gen == gen) {
+                if !runs.get(&job_id).is_some_and(|r| r.gen == gen) {
                     continue;
                 }
             }
@@ -224,7 +256,7 @@ impl ClusterSim {
                     sched.submit(trace[idx].job.clone())?;
                 }
                 Event::Completion { job_id, gen: _ } => {
-                    models.remove(&job_id);
+                    runs.remove(&job_id);
                     let done = sched.job_finished(job_id)?;
                     records.push(JobRecord::new(
                         format!("job{job_id}"),
@@ -236,65 +268,30 @@ impl ClusterSim {
             }
 
             for action in sched.tick(now)? {
-                match action {
-                    SchedulerAction::Start {
-                        job_id,
-                        node_indices,
-                        cpus_per_node,
-                    } => {
-                        let spec: &JobRate = &rates[&job_id];
-                        let progress = JobProgress::start_scaled(
-                            spec.work(durations[&job_id]),
-                            spec.rate(node_indices.len(), cpus_per_node),
-                            now,
-                        );
-                        gen_counter += 1;
-                        let finish = progress.completion_us();
-                        models.insert(
-                            job_id,
-                            RunModel {
-                                progress,
-                                gen: gen_counter,
-                            },
-                        );
-                        sched.set_expected_end(job_id, Some(finish));
-                        events.push(Reverse((
-                            finish,
-                            seq,
-                            Event::Completion {
-                                job_id,
-                                gen: gen_counter,
-                            },
-                        )));
-                        seq += 1;
-                    }
-                    SchedulerAction::Resize { job_id, .. } => {
-                        let (nodes, width) = sched
-                            .running()
-                            .iter()
-                            .find(|r| r.alloc.job_id == job_id)
-                            .map(|r| (r.alloc.node_indices.len(), r.alloc.cpus_per_node))
-                            .expect("an applied resize names a running job");
-                        let model = models
-                            .get_mut(&job_id)
-                            .expect("a running job has a run model");
-                        let spec: &JobRate = &rates[&job_id];
-                        model.progress.set_rate(now, spec.rate(nodes, width));
-                        gen_counter += 1;
-                        model.gen = gen_counter;
-                        let finish = model.progress.completion_us();
-                        sched.set_expected_end(job_id, Some(finish));
-                        events.push(Reverse((
-                            finish,
-                            seq,
-                            Event::Completion {
-                                job_id,
-                                gen: gen_counter,
-                            },
-                        )));
-                        seq += 1;
-                    }
+                // A start opens the job's record, a resize finds it; either
+                // way the job runs at the action's width from now on, and its
+                // completion moves.
+                let (SchedulerAction::Start {
+                    job_id,
+                    cpus_per_node: width,
+                    ..
                 }
+                | SchedulerAction::Resize {
+                    job_id,
+                    cpus_per_node: width,
+                }) = action;
+                gen_counter += 1;
+                let finish = runs
+                    .entry(job_id)
+                    .or_insert_with(|| JobRun::start(&trace[index_of[&job_id]], width, now))
+                    .run_at(width, now, gen_counter);
+                sched.set_expected_end(job_id, Some(finish));
+                let completion = Event::Completion {
+                    job_id,
+                    gen: gen_counter,
+                };
+                events.push(Reverse((finish, seq, completion)));
+                seq += 1;
             }
         }
 

@@ -332,25 +332,21 @@ impl PolicyScheduler {
             .position(|r| r.alloc.job_id == job_id)
             .ok_or(SlurmError::UnknownJob { job_id })?;
         let job = self.running.remove(pos);
-        self.index
-            .on_complete(&job.job, &job.alloc.node_indices, job.alloc.cpus_per_node);
+        self.index.on_complete(&job);
         Ok(job)
     }
 
     /// Refreshes a running job's estimated completion time (the trace engine
     /// calls this whenever a resize changes the job's finish estimate, which
-    /// keeps backfill reservations honest).
+    /// keeps backfill reservations honest). The estimate the job already
+    /// carries changes nothing.
     pub fn set_expected_end(&mut self, job_id: u64, end_us: Option<TimeUs>) {
         if let Some(job) = self.running.iter_mut().find(|r| r.alloc.job_id == job_id) {
+            // Move the job's release-timeline entry first (the index reads
+            // the old estimate off the job), so the next pass's drain
+            // forecast walks the refreshed one.
+            self.index.on_estimate(job, end_us);
             job.expected_end_us = end_us;
-            // Re-key the job in the index's release timeline so the next
-            // pass's drain forecast walks the refreshed estimate.
-            self.index.on_estimate(
-                job.alloc.job_id,
-                &job.alloc.node_indices,
-                job.alloc.cpus_per_node,
-                end_us,
-            );
         }
     }
 
@@ -487,15 +483,11 @@ impl PolicyScheduler {
         // job started at half width needs ~2× its declared duration — more
         // if its speedup curve says shrinking is worse than linear), so
         // backfill/drain reservations stay honest even when the driver never
-        // refreshes estimates via set_expected_end. Computed before the
-        // index hook: the timeline must key the job at the same estimate
-        // the running entry records.
+        // refreshes estimates via set_expected_end.
         let expected_end_us = job
             .expected_duration_us
             .map(|d| now_us.saturating_add(job.scaled_duration_us(d, width)));
-        self.index
-            .on_start(&job, node_indices, width, expected_end_us);
-        self.running.push(RunningJob {
+        let started = RunningJob {
             alloc: JobAllocation {
                 job_id,
                 node_indices: node_indices.to_vec(),
@@ -504,7 +496,9 @@ impl PolicyScheduler {
             job,
             start_us: now_us,
             expected_end_us,
-        });
+        };
+        self.index.on_start(&started);
+        self.running.push(started);
         self.stats.started += 1;
         Ok(())
     }
@@ -546,9 +540,7 @@ impl PolicyScheduler {
         } else {
             self.stats.shrinks += 1;
         }
-        let resized = &self.running[pos];
-        self.index
-            .on_resize(&resized.job, &resized.alloc.node_indices, current, width);
+        self.index.on_resize(&self.running[pos], width);
         self.running[pos].alloc.cpus_per_node = width;
         Ok(true)
     }
@@ -843,6 +835,60 @@ mod tests {
         assert_eq!(sched.sched_index().donors(1), &[1]);
         sched.job_finished(1).unwrap();
         assert_eq!(*sched.sched_index(), SchedIndex::new(2, 16));
+    }
+
+    /// Every estimate transition `set_expected_end` can make — the same
+    /// instant again, another instant, dropping the estimate, gaining one —
+    /// then a resize and the completions, each leaving the index equal to a
+    /// from-scratch rebuild with one timeline entry per estimated job.
+    #[test]
+    fn estimate_transitions_keep_the_index_equal_to_a_rebuild() {
+        fn check(sched: &PolicyScheduler) {
+            assert_eq!(
+                *sched.sched_index(),
+                SchedIndex::rebuild_from_capacity(2, 16, sched.running())
+            );
+            let estimated = sched
+                .running()
+                .iter()
+                .filter(|r| r.expected_end_us.is_some());
+            assert_eq!(sched.sched_index().timeline().len(), estimated.count());
+        }
+        let mut sched = PolicyScheduler::new(2, 16, Box::new(MalleablePolicy::default()));
+        sched
+            .submit(
+                QueuedJob::new(1, 2, 16)
+                    .malleable(4)
+                    .with_expected_duration_us(100),
+            )
+            .unwrap();
+        sched.tick(0).unwrap();
+        assert_eq!(sched.running()[0].expected_end_us, Some(100));
+        check(&sched);
+        // Some → the same Some: a no-op end to end.
+        let before = sched.sched_index().clone();
+        sched.set_expected_end(1, Some(100));
+        assert_eq!(*sched.sched_index(), before);
+        check(&sched);
+        // Some → another Some, Some → None, None → None, None → Some.
+        for end_us in [Some(250), None, None, Some(300)] {
+            sched.set_expected_end(1, end_us);
+            assert_eq!(sched.running()[0].expected_end_us, end_us);
+            check(&sched);
+        }
+        // A resize rewrites the estimated job's release in place: job 2
+        // (no estimate) is admitted by shrinking job 1.
+        sched.submit(QueuedJob::new(2, 1, 8)).unwrap();
+        sched.tick(5).unwrap();
+        assert_eq!(sched.stats().shrinks, 1);
+        check(&sched);
+        sched.set_expected_end(2, Some(300)); // shares job 1's instant
+        check(&sched);
+        sched.job_finished(1).unwrap();
+        check(&sched);
+        sched.job_finished(2).unwrap();
+        check(&sched);
+        assert!(sched.sched_index().timeline().is_empty());
     }
 
     #[test]

@@ -106,8 +106,18 @@ impl Srun {
     /// Launches `job` on the given nodes: computes masks, pre-initialises every
     /// task and returns the placements. Tasks are distributed over the nodes in
     /// blocks (the paper's configuration always splits tasks evenly).
+    ///
+    /// # Errors
+    ///
+    /// [`SlurmError::InvalidAction`] for an empty node list (nothing is
+    /// launched); every per-node failure of the daemons otherwise.
     pub fn launch(&self, job: &JobSpec, nodes: &[String]) -> Result<LaunchedJob, SlurmError> {
-        assert!(!nodes.is_empty(), "a job needs at least one node");
+        if nodes.is_empty() {
+            return Err(SlurmError::InvalidAction {
+                job_id: job.id,
+                reason: "launch on an empty node list".into(),
+            });
+        }
         // Block distribution of tasks over the allocation.
         let per_node = {
             let base = job.num_tasks / nodes.len();
@@ -351,6 +361,19 @@ mod tests {
             srun.launch(&job, &["nope".into()]),
             Err(SlurmError::UnknownNode { .. })
         ));
+    }
+
+    /// Regression: an empty node list used to trip an `assert!` (and, past
+    /// it, a division by zero); it is a typed error with nothing launched.
+    #[test]
+    fn empty_node_list_is_a_typed_error() {
+        let (_cluster, srun) = setup(true);
+        let job = JobSpec::new(7, "nowhere").with_tasks(2);
+        assert!(matches!(
+            srun.launch(&job, &[]),
+            Err(SlurmError::InvalidAction { job_id: 7, .. })
+        ));
+        assert!(srun.slurmd("node0").unwrap().running_jobs().is_empty());
     }
 
     #[test]

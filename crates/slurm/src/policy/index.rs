@@ -2,14 +2,32 @@
 //! donor lists, the free / availability count histograms and the release
 //! timeline.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use drom_metrics::TimeUs;
 
-use super::{QueuedJob, RunningJob};
+use super::{JobAllocation, QueuedJob, RunningJob};
 
-/// The release timeline: per-node CPU release deltas keyed by estimated
-/// completion instant, over the running jobs that carry an estimate.
+/// What one estimated running job gives back when it ends: `width` CPUs on
+/// each of `node_indices`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct Release {
+    pub(super) node_indices: Vec<usize>,
+    pub(super) width: usize,
+}
+
+impl Release {
+    fn of(alloc: &JobAllocation) -> Self {
+        Release {
+            node_indices: alloc.node_indices.clone(),
+            width: alloc.cpus_per_node,
+        }
+    }
+}
+
+/// The release timeline: the running jobs that carry a completion estimate,
+/// ordered by that estimate — an end-ordered view of `running`, one entry
+/// per job.
 ///
 /// This is the input of the drain-reservation forecast shared by
 /// [`BackfillPolicy`](super::BackfillPolicy) and
@@ -17,26 +35,22 @@ use super::{QueuedJob, RunningJob};
 /// running allocation by end time and replaying the releases with a
 /// first-fit probe per candidate instant (O(candidates × nodes) per
 /// forecast — the reservation-heavy scaling wall at 1024+ nodes), the
-/// forecast walks these pre-aggregated deltas in end order and maintains a
-/// *count* of nodes satisfying the probe width, probing placement exactly
-/// once (`earliest_timeline_fit`). [`SchedIndex`] keeps one up to date in
-/// O(job's nodes × log running) per applied start / resize / completion /
-/// estimate change, so a pass never pays the sort either.
+/// forecast walks these entries in end order and maintains a *count* of
+/// nodes satisfying the probe width, probing placement exactly once
+/// (`earliest_timeline_fit`). [`SchedIndex`] keeps one up to date in
+/// O(log running) per applied start / completion / estimate change (a
+/// resize rewrites one width in place, an unchanged estimate touches
+/// nothing), so a pass never pays the sort either.
 ///
 /// Canonical form (what [`PartialEq`] compares, and what the debug rebuild
-/// oracle re-derives from the running set): one entry per distinct estimated
-/// end instant, mapping each node to the **sum** of the estimated widths
-/// releasing there; zero-width node entries and empty instants are never
-/// stored. Jobs without an estimate simply do not appear — the walk treats
-/// their CPUs as never released, exactly like the replay it replaces.
-/// Widths are positive by construction (no allocation is zero-wide).
+/// oracle re-derives from the running set): exactly one entry per running
+/// job whose estimate is `Some`, keyed `(estimate, job id)` and holding the
+/// job's current node list and width. Jobs without an estimate simply do
+/// not appear — the walk treats their CPUs as never released, exactly like
+/// the replay it replaces. Only [`SchedIndex`] writes it.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReleaseTimeline {
-    /// `by_end[t][node]` = CPUs released on `node` at estimated instant `t`.
-    pub(super) by_end: BTreeMap<TimeUs, BTreeMap<usize, usize>>,
-    /// The instant each estimated job is currently keyed under — what lets
-    /// an estimate change re-key the job without knowing its old estimate.
-    ends: HashMap<u64, TimeUs>,
+    pub(super) by_end: BTreeMap<(TimeUs, u64), Release>,
 }
 
 impl ReleaseTimeline {
@@ -47,93 +61,29 @@ impl ReleaseTimeline {
 
     /// Number of estimated jobs on the timeline.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.by_end.len()
     }
 
     /// `true` when no job carries an estimate.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.by_end.is_empty()
     }
 
-    fn add_deltas(&mut self, end_us: TimeUs, node_indices: &[usize], width: usize) {
-        let at = self.by_end.entry(end_us).or_default();
-        for &n in node_indices {
-            *at.entry(n).or_insert(0) += width;
+    /// The entry of `r` under the estimate it carries, if it has one.
+    fn key(r: &RunningJob) -> Option<(TimeUs, u64)> {
+        r.expected_end_us.map(|end| (end, r.alloc.job_id))
+    }
+
+    /// Enters `r` (nothing for a job without an estimate).
+    fn insert(&mut self, r: &RunningJob) {
+        if let Some(key) = Self::key(r) {
+            self.by_end.insert(key, Release::of(&r.alloc));
         }
     }
 
-    // PANIC: callers subtract exactly what `add` inserted, so the end instant
-    // and its per-node deltas are present (the SchedIndex timeline invariant).
-    fn sub_deltas(&mut self, end_us: TimeUs, node_indices: &[usize], width: usize) {
-        let at = self
-            .by_end
-            .get_mut(&end_us)
-            .expect("an indexed job's end instant is on the timeline");
-        for &n in node_indices {
-            let d = at.get_mut(&n).expect("an indexed job's nodes carry deltas");
-            *d -= width;
-            if *d == 0 {
-                at.remove(&n);
-            }
-        }
-        if at.is_empty() {
-            self.by_end.remove(&end_us);
-        }
-    }
-
-    /// Enters a job holding `width` CPUs on each of `node_indices` until
-    /// `end_us`. A job without an estimate (`None`) is not tracked — call
-    /// [`set_end`](Self::set_end) when it gains one.
-    pub fn add(
-        &mut self,
-        job_id: u64,
-        node_indices: &[usize],
-        width: usize,
-        end_us: Option<TimeUs>,
-    ) {
-        if let Some(end) = end_us {
-            self.ends.insert(job_id, end);
-            self.add_deltas(end, node_indices, width);
-        }
-    }
-
-    /// Removes a job (no-op when it carried no estimate). `node_indices` and
-    /// `width` must be the allocation currently on the timeline.
-    pub fn remove(&mut self, job_id: u64, node_indices: &[usize], width: usize) {
-        if let Some(end) = self.ends.remove(&job_id) {
-            self.sub_deltas(end, node_indices, width);
-        }
-    }
-
-    /// Re-prices a tracked job's release from `old_width` to `new_width` at
-    /// its current end instant — the resize hook (a resize keeps the node
-    /// set; the estimate is refreshed separately via
-    /// [`set_end`](Self::set_end)). No-op for unestimated jobs.
-    pub fn update_width(
-        &mut self,
-        job_id: u64,
-        node_indices: &[usize],
-        old_width: usize,
-        new_width: usize,
-    ) {
-        if let Some(&end) = self.ends.get(&job_id) {
-            self.sub_deltas(end, node_indices, old_width);
-            self.add_deltas(end, node_indices, new_width);
-        }
-    }
-
-    /// Re-keys a job's release to a new estimate (in place: remove at the
-    /// old instant, insert at the new), `None` dropping it from the
-    /// timeline. `node_indices`/`width` are the job's current allocation.
-    pub fn set_end(
-        &mut self,
-        job_id: u64,
-        node_indices: &[usize],
-        width: usize,
-        end_us: Option<TimeUs>,
-    ) {
-        self.remove(job_id, node_indices, width);
-        self.add(job_id, node_indices, width, end_us);
+    /// Takes `r` off (`None` for a job without an estimate).
+    fn remove(&mut self, r: &RunningJob) -> Option<Release> {
+        self.by_end.remove(&Self::key(r)?)
     }
 }
 
@@ -169,11 +119,13 @@ impl ReleaseTimeline {
 ///   order they appear in the driver's `running` vector (start order), which
 ///   is what keeps indexed victim selection byte-identical to the reference
 ///   scan;
-/// * `timeline` holds exactly `{(r.expected_end_us, r.alloc.node_indices,
-///   r.alloc.cpus_per_node)}` over the running jobs whose estimate is
-///   `Some`, in [`ReleaseTimeline`] canonical form — kept current by
-///   [`on_estimate`](SchedIndex::on_estimate) whenever the driver refreshes
-///   an estimate;
+/// * `timeline` holds exactly one `(r.expected_end_us, r.alloc.job_id) →
+///   (r.alloc.node_indices, r.alloc.cpus_per_node)` entry per running job
+///   whose estimate is `Some` ([`ReleaseTimeline`] canonical form) — every
+///   hook takes the [`RunningJob`] as it stands *before* the event, so the
+///   old key comes from the job itself, and
+///   [`on_estimate`](SchedIndex::on_estimate) moves the entry whenever the
+///   driver refreshes an estimate;
 /// * `free_hist` / `avail_hist` count, per CPU value, the nodes whose
 ///   `free[n]` / `free[n] + reclaim[n]` currently equals it
 ///   ([`free_hist`](SchedIndex::free_hist) /
@@ -292,12 +244,7 @@ impl SchedIndex {
                     index.cheap[n] += cheap;
                 }
             }
-            index.timeline.add(
-                r.alloc.job_id,
-                &r.alloc.node_indices,
-                r.alloc.cpus_per_node,
-                r.expected_end_us,
-            );
+            index.timeline.insert(r);
         }
         let buckets = capacity.iter().max().map_or(0, |widest| widest + 1);
         index.free_hist.counts = vec![0; buckets];
@@ -364,26 +311,20 @@ impl SchedIndex {
         }
     }
 
-    /// Moves `job`'s allocation on each of `node_indices` from `old_width`
-    /// to `new_width` CPUs (0 = not allocated): the free / reclaim / cheap
+    /// Moves `r`'s allocation on each of its nodes from `old_width` to
+    /// `new_width` CPUs (0 = not allocated): the free / reclaim / cheap
     /// columns, and each touched node's entry in the two count histograms.
     // PANIC: allocations name nodes inside the driver's free vector.
-    fn move_width(
-        &mut self,
-        job: &QueuedJob,
-        node_indices: &[usize],
-        old_width: usize,
-        new_width: usize,
-    ) {
-        let old_spare = Self::spare(job, old_width);
-        let new_spare = Self::spare(job, new_width);
-        let old_cheap = Self::cheap_spare(job, old_width);
-        let new_cheap = Self::cheap_spare(job, new_width);
-        for &n in node_indices {
+    fn move_width(&mut self, r: &RunningJob, old_width: usize, new_width: usize) {
+        let old_spare = Self::spare(&r.job, old_width);
+        let new_spare = Self::spare(&r.job, new_width);
+        let old_cheap = Self::cheap_spare(&r.job, old_width);
+        let new_cheap = Self::cheap_spare(&r.job, new_width);
+        for &n in &r.alloc.node_indices {
             let old_free = self.free[n];
             let old_avail = old_free + self.reclaim[n];
             self.free[n] = self.free[n] + old_width - new_width;
-            if job.malleable {
+            if r.job.malleable {
                 self.reclaim[n] = self.reclaim[n] + new_spare - old_spare;
                 self.cheap[n] = self.cheap[n] + new_cheap - old_cheap;
             }
@@ -393,64 +334,57 @@ impl SchedIndex {
         }
     }
 
-    /// A job started on `node_indices` at `width` CPUs per node, with the
-    /// driver's completion estimate (entered on the release timeline when
-    /// `Some`).
+    /// `r` started: its allocation leaves the free columns and its estimate
+    /// (when `Some`) enters the release timeline.
     // PANIC: started allocations name nodes inside the driver's free vector.
-    pub fn on_start(
-        &mut self,
-        job: &QueuedJob,
-        node_indices: &[usize],
-        width: usize,
-        end_us: Option<TimeUs>,
-    ) {
-        self.move_width(job, node_indices, 0, width);
-        if job.malleable {
-            for &n in node_indices {
-                self.donors[n].push(job.id);
+    pub fn on_start(&mut self, r: &RunningJob) {
+        self.move_width(r, 0, r.alloc.cpus_per_node);
+        if r.job.malleable {
+            for &n in &r.alloc.node_indices {
+                self.donors[n].push(r.alloc.job_id);
             }
         }
-        self.timeline.add(job.id, node_indices, width, end_us);
+        self.timeline.insert(r);
     }
 
-    /// A running job resized from `old_width` to `new_width` CPUs per node.
-    pub fn on_resize(
-        &mut self,
-        job: &QueuedJob,
-        node_indices: &[usize],
-        old_width: usize,
-        new_width: usize,
-    ) {
-        self.move_width(job, node_indices, old_width, new_width);
-        // The release the timeline promises at the job's (unchanged) end
-        // instant is the new width; the driver refreshes the estimate itself
-        // afterwards via `on_estimate`.
-        self.timeline
-            .update_width(job.id, node_indices, old_width, new_width);
+    /// `r` (still at its old width) is resized to `new_width` CPUs per node.
+    /// The release its timeline entry promises becomes the new width at the
+    /// unchanged end instant; the driver refreshes the estimate itself
+    /// afterwards via [`on_estimate`](Self::on_estimate).
+    pub fn on_resize(&mut self, r: &RunningJob, new_width: usize) {
+        self.move_width(r, r.alloc.cpus_per_node, new_width);
+        if let Some(release) =
+            ReleaseTimeline::key(r).and_then(|k| self.timeline.by_end.get_mut(&k))
+        {
+            release.width = new_width;
+        }
     }
 
-    /// The driver refreshed a running job's completion estimate:
-    /// re-keys its release (current allocation) to the new instant in place.
-    pub fn on_estimate(
-        &mut self,
-        job_id: u64,
-        node_indices: &[usize],
-        width: usize,
-        end_us: Option<TimeUs>,
-    ) {
-        self.timeline.set_end(job_id, node_indices, width, end_us);
+    /// The driver refreshes the completion estimate of `r` (still carrying
+    /// its old one) to `end_us`: its timeline entry moves to the new instant,
+    /// leaves (`None`) or enters (from `None`). The estimate it already
+    /// carries touches nothing.
+    pub fn on_estimate(&mut self, r: &RunningJob, end_us: Option<TimeUs>) {
+        if r.expected_end_us == end_us {
+            return;
+        }
+        let moved = self.timeline.remove(r);
+        if let Some(end) = end_us {
+            let release = moved.unwrap_or_else(|| Release::of(&r.alloc));
+            self.timeline.by_end.insert((end, r.alloc.job_id), release);
+        }
     }
 
-    /// A running job completed, releasing `width` CPUs on each of its nodes.
+    /// `r` completed, releasing its CPUs on each of its nodes.
     // PANIC: completed allocations name nodes inside the driver's free vector.
-    pub fn on_complete(&mut self, job: &QueuedJob, node_indices: &[usize], width: usize) {
-        self.move_width(job, node_indices, width, 0);
-        if job.malleable {
-            for &n in node_indices {
-                self.donors[n].retain(|&id| id != job.id);
+    pub fn on_complete(&mut self, r: &RunningJob) {
+        self.move_width(r, r.alloc.cpus_per_node, 0);
+        if r.job.malleable {
+            for &n in &r.alloc.node_indices {
+                self.donors[n].retain(|&id| id != r.alloc.job_id);
             }
         }
-        self.timeline.remove(job.id, node_indices, width);
+        self.timeline.remove(r);
     }
 }
 
@@ -463,57 +397,54 @@ pub(super) fn shrink_floor(declared_floor: usize, request: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::super::tests::stream_curve;
-    use super::super::JobAllocation;
     use super::*;
+
+    /// `job` running at `width` CPUs on each of `nodes`, estimated to end at
+    /// `end_us` — built once, handed to the hooks and to `rebuild` alike.
+    fn run(job: &QueuedJob, nodes: &[usize], width: usize, end_us: Option<TimeUs>) -> RunningJob {
+        RunningJob {
+            alloc: JobAllocation {
+                job_id: job.id,
+                node_indices: nodes.to_vec(),
+                cpus_per_node: width,
+            },
+            job: job.clone(),
+            start_us: 0,
+            expected_end_us: end_us,
+        }
+    }
 
     /// The event-maintained index equals a from-scratch rebuild after any
     /// start/resize/complete sequence, including donor-list order.
     #[test]
     fn sched_index_updates_match_rebuild() {
         let mut index = SchedIndex::new(3, 16);
-        let j1 = QueuedJob::new(1, 2, 8).malleable(2);
-        let j2 = QueuedJob::new(2, 1, 16).malleable(4);
-        let j3 = QueuedJob::new(3, 2, 4); // rigid: never a donor
-        index.on_start(&j1, &[0, 1], 8, Some(1_000));
-        index.on_start(&j2, &[2], 12, Some(2_000));
-        index.on_start(&j3, &[1, 2], 4, None);
-        index.on_resize(&j2, &[2], 12, 9);
-        index.on_resize(&j1, &[0, 1], 8, 5);
-        // A resize refresh re-keys j1's releases in the timeline in place.
-        index.on_estimate(1, &[0, 1], 5, Some(1_500));
-        let running = vec![
-            RunningJob {
-                alloc: JobAllocation {
-                    job_id: 1,
-                    node_indices: vec![0, 1],
-                    cpus_per_node: 5,
-                },
-                job: j1.clone(),
-                start_us: 0,
-                expected_end_us: Some(1_500),
-            },
-            RunningJob {
-                alloc: JobAllocation {
-                    job_id: 2,
-                    node_indices: vec![2],
-                    cpus_per_node: 9,
-                },
-                job: j2.clone(),
-                start_us: 0,
-                expected_end_us: Some(2_000),
-            },
-            RunningJob {
-                alloc: JobAllocation {
-                    job_id: 3,
-                    node_indices: vec![1, 2],
-                    cpus_per_node: 4,
-                },
-                job: j3.clone(),
-                start_us: 0,
-                expected_end_us: None,
-            },
-        ];
+        let mut r1 = run(
+            &QueuedJob::new(1, 2, 8).malleable(2),
+            &[0, 1],
+            8,
+            Some(1_000),
+        );
+        let mut r2 = run(
+            &QueuedJob::new(2, 1, 16).malleable(4),
+            &[2],
+            12,
+            Some(2_000),
+        );
+        let r3 = run(&QueuedJob::new(3, 2, 4), &[1, 2], 4, None); // rigid: never a donor
+        index.on_start(&r1);
+        index.on_start(&r2);
+        index.on_start(&r3);
+        index.on_resize(&r2, 9);
+        r2.alloc.cpus_per_node = 9;
+        index.on_resize(&r1, 5);
+        r1.alloc.cpus_per_node = 5;
+        // A resize refresh moves j1's timeline entry to the new instant.
+        index.on_estimate(&r1, Some(1_500));
+        r1.expected_end_us = Some(1_500);
+        let running = vec![r1, r2, r3];
         assert_eq!(index, SchedIndex::rebuild(&[11, 7, 3], &running));
+        assert_eq!(index.timeline().len(), 2);
         assert_eq!(index.free(), &[11, 7, 3]);
         // j1 at width 5 with shrink floor max(2, 4) = 4 → 1 reclaimable;
         // j2 at width 9 with shrink floor max(4, 8) = 8 → 1 reclaimable.
@@ -532,9 +463,10 @@ mod tests {
         let mut drifted = index.clone();
         drifted.avail_hist.update(8, 9);
         assert_ne!(drifted, SchedIndex::rebuild(&[11, 7, 3], &running));
-        index.on_complete(&j1, &[0, 1], 5);
-        index.on_complete(&j3, &[1, 2], 4);
+        index.on_complete(&running[0]);
+        index.on_complete(&running[2]);
         assert_eq!(index, SchedIndex::rebuild(&[16, 16, 7], &running[1..2]));
+        assert_eq!(index.timeline().len(), 1);
     }
 
     /// The incrementally-maintained zero-cost reclaim summary
@@ -543,46 +475,29 @@ mod tests {
     #[test]
     fn sched_index_cheap_summary_matches_rebuild() {
         let mut index = SchedIndex::new(2, 32);
-        let linear = QueuedJob::new(1, 2, 8).malleable(2); // shrink floor 4
-        let stream = QueuedJob::new(2, 1, 16)
+        // Linear, shrink floor 4.
+        let linear = run(&QueuedJob::new(1, 2, 8).malleable(2), &[0, 1], 8, None);
+        let stream_job = QueuedJob::new(2, 1, 16)
             .malleable(1) // shrink floor 8
             .with_speedup(stream_curve(16));
-        index.on_start(&linear, &[0, 1], 8, None);
+        let mut stream = run(&stream_job, &[0], 12, None);
+        index.on_start(&linear);
         assert_eq!(index.cheap(), &[0, 0], "linear spare is never cheap");
-        index.on_start(&stream, &[0], 12, None);
+        index.on_start(&stream);
         assert_eq!(
             index.cheap(),
             &[4, 0],
             "all 4 spare CPUs sit on the flat tail"
         );
-        index.on_resize(&stream, &[0], 12, 9);
-        let running = vec![
-            RunningJob {
-                alloc: JobAllocation {
-                    job_id: 1,
-                    node_indices: vec![0, 1],
-                    cpus_per_node: 8,
-                },
-                job: linear.clone(),
-                start_us: 0,
-                expected_end_us: None,
-            },
-            RunningJob {
-                alloc: JobAllocation {
-                    job_id: 2,
-                    node_indices: vec![0],
-                    cpus_per_node: 9,
-                },
-                job: stream.clone(),
-                start_us: 0,
-                expected_end_us: None,
-            },
-        ];
+        index.on_resize(&stream, 9);
+        stream.alloc.cpus_per_node = 9;
+        let mut running = vec![linear, stream];
         assert_eq!(index, SchedIndex::rebuild(&[15, 24], &running));
         assert_eq!(index.cheap(), &[1, 0]);
-        index.on_resize(&stream, &[0], 9, 16);
+        index.on_resize(&running[1], 16);
+        running[1].alloc.cpus_per_node = 16;
         assert_eq!(index.cheap(), &[8, 0]);
-        index.on_complete(&stream, &[0], 16);
+        index.on_complete(&running[1]);
         assert_eq!(index, SchedIndex::rebuild(&[24, 24], &running[..1]));
         assert_eq!(index.cheap(), &[0, 0]);
     }

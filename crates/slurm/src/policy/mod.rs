@@ -256,17 +256,6 @@ impl RunningJob {
     pub fn is_shrunk(&self) -> bool {
         self.alloc.cpus_per_node < self.job.cpus_per_node
     }
-
-    /// CPUs per node this job could still give up (0 for rigid jobs).
-    pub fn reclaimable_per_node(&self) -> usize {
-        if self.job.malleable {
-            self.alloc
-                .cpus_per_node
-                .saturating_sub(self.job.min_cpus_per_node)
-        } else {
-            0
-        }
-    }
 }
 
 /// What a policy may ask the cluster to do. Actions are validated and applied

@@ -27,17 +27,18 @@ pub(super) struct TimelineDelta<'a> {
 /// candidate instant.
 ///
 /// Decision equivalence with the replay, instant by instant: the candidate
-/// instants are the distinct estimated ends (base keys ∪ overlay ends —
-/// exactly the estimated holders' ends); all deltas at one instant apply
-/// before it is probed (the replay's equal-end grouping); instants ≤
-/// `now_us` release without becoming candidates (overdue estimates); and a
-/// first-fit at `width` succeeds **iff** at least `nodes` nodes carry ≥
-/// `width` free CPUs — so the count crossing the threshold at a future
-/// instant is exactly the replay's first successful probe, and placement is
-/// computed once, there. Base deltas apply before overlay deltas within an
-/// instant: a shrunk victim's negative overlay correction lands on top of
-/// the base release it corrects, so the running free count never
-/// underflows. O(nodes + total deltas) per forecast.
+/// instants are the distinct estimated ends (base entries' ends ∪ overlay
+/// ends — exactly the estimated holders' ends); every release at one
+/// instant — each base job's entry, then the overlay's — applies before it
+/// is probed (the replay's equal-end grouping); instants ≤ `now_us` release
+/// without becoming candidates (overdue estimates); and a first-fit at
+/// `width` succeeds **iff** at least `nodes` nodes carry ≥ `width` free
+/// CPUs — so the count crossing the threshold at a future instant is
+/// exactly the replay's first successful probe, and placement is computed
+/// once, there. Base entries apply before overlay deltas within an instant:
+/// a shrunk victim's negative overlay correction lands on top of the base
+/// release it corrects, so the running free count never underflows.
+/// O(nodes + Σ nodes of the walked jobs) per forecast.
 // ALLOC(pass): O(nodes) scratch free vector per timeline probe.
 // PANIC: timeline deltas index nodes within the scratch vector they were
 // recorded for; the eligibility count is exact before `fit_first` runs.
@@ -72,26 +73,19 @@ pub(super) fn earliest_timeline_fit(
     loop {
         let t = match (base.peek(), over.peek()) {
             (None, None) => return None,
-            (Some((&bt, _)), None) => bt,
+            (Some((&(bt, _), _)), None) => bt,
             (None, Some(o)) => o.end_us,
-            (Some((&bt, _)), Some(o)) => bt.min(o.end_us),
+            (Some((&(bt, _), _)), Some(o)) => bt.min(o.end_us),
         };
-        if let Some((&bt, deltas)) = base.peek() {
-            if bt == t {
-                for (&n, &w) in deltas.iter() {
-                    raise(&mut free_at, &mut eligible, n, w as i64);
-                }
-                base.next();
+        while let Some((_, release)) = base.next_if(|(&(bt, _), _)| bt == t) {
+            for &n in &release.node_indices {
+                raise(&mut free_at, &mut eligible, n, release.width as i64);
             }
         }
-        while let Some(o) = over.peek() {
-            if o.end_us != t {
-                break;
-            }
+        while let Some(o) = over.next_if(|o| o.end_us == t) {
             for &n in o.node_indices {
                 raise(&mut free_at, &mut eligible, n, o.delta);
             }
-            over.next();
         }
         if t > now_us && eligible >= nodes {
             let found = fit_first(&free_at, None, nodes, width).expect("eligible count is exact");
@@ -211,15 +205,34 @@ pub(super) fn start_actions(admitted: Vec<(&QueuedJob, Vec<usize>)>) -> Vec<Sche
 
 #[cfg(test)]
 mod tests {
+    use super::super::index::Release;
     use super::super::reference::{earliest_release_fit, Holder};
     use super::*;
+
+    /// Enters job `id` on `timeline` the way the index does for a running
+    /// job: one entry under its estimate, none without one.
+    fn enter(
+        timeline: &mut ReleaseTimeline,
+        id: u64,
+        node_indices: &[usize],
+        width: usize,
+        end_us: Option<TimeUs>,
+    ) {
+        if let Some(end) = end_us {
+            let release = Release {
+                node_indices: node_indices.to_vec(),
+                width,
+            };
+            timeline.by_end.insert((end, id), release);
+        }
+    }
 
     /// The whole current state expressed as a base [`ReleaseTimeline`] (the
     /// indexed forecast's input when the pass changed nothing).
     fn timeline_of(holders: &[Holder<'_>]) -> ReleaseTimeline {
         let mut timeline = ReleaseTimeline::new();
         for (id, h) in holders.iter().enumerate() {
-            timeline.add(id as u64, h.node_indices, h.width, h.end_us);
+            enter(&mut timeline, id as u64, h.node_indices, h.width, h.end_us);
         }
         timeline
     }
@@ -343,6 +356,34 @@ mod tests {
         );
         assert_timeline_matches_replay(3, 16, &free, &holders, 10);
         assert_timeline_matches_replay(2, 16, &free, &holders, 10);
+
+        // Two holders releasing on the *same node* at the same instant: the
+        // timeline keeps one entry per job, so the node's release is the sum
+        // the walk accumulates entry by entry — either half alone is too
+        // small.
+        let free = [0usize, 16];
+        let halves = [
+            Holder {
+                end_us: Some(100),
+                node_indices: &[0],
+                width: 8,
+            },
+            Holder {
+                end_us: Some(100),
+                node_indices: &[0],
+                width: 8,
+            },
+        ];
+        assert_eq!(
+            earliest_release_fit(2, 16, &free, &halves, 10),
+            Some((100, vec![0, 1]))
+        );
+        assert_eq!(
+            earliest_release_fit(1, 9, &free[..1], &halves, 10),
+            Some((100, vec![0]))
+        );
+        assert_timeline_matches_replay(2, 16, &free, &halves, 10);
+        assert_timeline_matches_replay(1, 9, &free[..1], &halves, 10);
     }
 
     /// A base timeline at pass-start widths plus an overlay of the pass's
@@ -355,8 +396,8 @@ mod tests {
         // C, started 6-wide on node 1 with estimated end 150).
         let free = [6usize, 2];
         let mut base = ReleaseTimeline::new();
-        base.add(1, &[0], 16, Some(100));
-        base.add(2, &[1], 8, Some(200));
+        enter(&mut base, 1, &[0], 16, Some(100));
+        enter(&mut base, 2, &[1], 8, Some(200));
         let overlay = [
             TimelineDelta {
                 end_us: 100,
@@ -464,7 +505,7 @@ mod tests {
                 // Formulation 1: current state as base, nothing overlaid.
                 let mut base_all = ReleaseTimeline::new();
                 for (id, h) in holders.iter().enumerate() {
-                    base_all.add(id as u64, &h.nodes, h.original - h.shrink, h.end);
+                    enter(&mut base_all, id as u64, &h.nodes, h.original - h.shrink, h.end);
                 }
                 prop_assert_eq!(
                     earliest_timeline_fit(nodes, width, &free, &base_all, &[], now),
@@ -485,7 +526,7 @@ mod tests {
                             });
                         }
                     } else {
-                        base.add(id as u64, &h.nodes, h.original, h.end);
+                        enter(&mut base, id as u64, &h.nodes, h.original, h.end);
                         if h.shrink > 0 {
                             if let Some(end_us) = h.end {
                                 overlay.push(TimelineDelta {

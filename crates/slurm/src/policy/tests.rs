@@ -702,7 +702,7 @@ mod blocked_then_released {
 
         // The holder completes: the driver feeds the event to the index,
         // which moves the node's histogram entry from 0 to 16 free.
-        index.on_complete(&holder[0].job, &[0], 16);
+        index.on_complete(&holder[0]);
         assert_eq!(index.free(), &[16]);
         assert_eq!(index.free_hist().count_ge(16), 1);
         let after = iview(&[], &index, &order);
