@@ -9,7 +9,9 @@
 //! measures the indexed pass the way production runs it (fed the driver's
 //! event-maintained `SchedIndex`); `malleable_scan_*` measures the pre-index
 //! reference implementation, so the speedup of the donor/availability
-//! indices stays visible. Baselines are recorded in `BENCH_sched.json`.
+//! indices stays visible (at 128 nodes and on the reservation view only:
+//! the 1024-node scan pass took ~0.95 s per iteration to time code nobody
+//! ships). Baselines are recorded in `BENCH_sched.json`.
 //!
 //! The per-pass benches call `schedule` thousands of times on one frozen
 //! view; the policies keep no state between passes, so every iteration does
@@ -95,11 +97,6 @@ fn bench_sched_scale(c: &mut Criterion) {
 
     group.bench_function("malleable_pass_1024n", |b| {
         let mut policy = MalleablePolicy::default();
-        b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
-    });
-
-    group.bench_function("malleable_scan_pass_1024n", |b| {
-        let mut policy = MalleableScanPolicy::default();
         b.iter(|| black_box(policy.schedule(&view_xl, &queue_xl, 1_000)));
     });
 

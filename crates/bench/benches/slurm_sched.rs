@@ -1,11 +1,11 @@
-//! SLURM-side costs: the task/affinity launch_request mask computation, the
-//! full pre-init launch path and the controller admission check (Section 5).
+//! SLURM-side costs: the task/affinity launch_request mask computation and
+//! the full pre-init launch path (Section 5).
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use drom_slurm::{Cluster, JobSpec, SchedulingMode, SlurmCtld, Srun};
+use drom_slurm::{Cluster, JobSpec, Srun};
 
 fn bench_slurm(c: &mut Criterion) {
     let mut group = c.benchmark_group("slurm_sched");
@@ -33,18 +33,6 @@ fn bench_slurm(c: &mut Criterion) {
             srun.complete(&launched).unwrap();
         });
         srun.complete(&launched_sim).unwrap();
-    });
-
-    group.bench_function("controller_admission_check", |b| {
-        let mut ctld = SlurmCtld::new(
-            (0..64).map(|i| format!("node{i}")).collect(),
-            SchedulingMode::drom_default(),
-        );
-        for j in 0..32 {
-            ctld.job_started(j, vec![format!("node{}", j % 64)]);
-        }
-        let job = JobSpec::new(999, "next").with_nodes(4);
-        b.iter(|| ctld.can_start(&job));
     });
 
     group.finish();

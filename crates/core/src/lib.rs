@@ -48,7 +48,6 @@ pub mod callbacks;
 pub mod error;
 pub mod flags;
 pub mod lewi;
-pub mod policy;
 pub mod process;
 
 pub use api::{DromAdmin, DromEnviron, SetMaskReport};
@@ -56,7 +55,6 @@ pub use callbacks::AsyncListener;
 pub use error::{DromError, DromResult};
 pub use flags::DromFlags;
 pub use lewi::{Lewi, LewiStats};
-pub use policy::{choose_victims, ShrinkRequest, VictimPolicy};
 pub use process::{DromProcess, ProcessStats};
 
 /// Re-export of the pid type used across the DROM stack.

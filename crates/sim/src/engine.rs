@@ -9,6 +9,12 @@ use crate::scenario::SimJob;
 /// Numerical tolerance on remaining work (core-seconds).
 const EPS: f64 = 1e-6;
 
+/// CPUs of one node of the paper's environment (MareNostrum III).
+const NODE_CPUS: usize = 16;
+
+/// Jobs co-allocated on one node at most, as in the paper's experiments.
+const MAX_JOBS_PER_NODE: usize = 2;
+
 /// One stretch of virtual time during which a job ran with a fixed CPU grant.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSegment {
@@ -83,9 +89,6 @@ impl RunningJob {
 #[derive(Debug, Clone)]
 pub struct WorkloadSimulator {
     scenario: Scenario,
-    num_nodes: usize,
-    node_cpus: usize,
-    max_jobs_per_node: usize,
     models: PerfModel,
 }
 
@@ -95,24 +98,8 @@ impl WorkloadSimulator {
     pub fn new(scenario: Scenario) -> Self {
         WorkloadSimulator {
             scenario,
-            num_nodes: 2,
-            node_cpus: 16,
-            max_jobs_per_node: 2,
             models: PerfModel::new(),
         }
-    }
-
-    /// Overrides the cluster shape (used by scaling experiments).
-    pub fn with_cluster(mut self, num_nodes: usize, node_cpus: usize) -> Self {
-        self.num_nodes = num_nodes.max(1);
-        self.node_cpus = node_cpus.max(1);
-        self
-    }
-
-    /// Overrides the co-allocation limit.
-    pub fn with_max_jobs_per_node(mut self, max: usize) -> Self {
-        self.max_jobs_per_node = max.max(1);
-        self
     }
 
     /// The scenario this simulator runs.
@@ -130,15 +117,15 @@ impl WorkloadSimulator {
         if self.scenario == Scenario::Oversubscribed {
             // Everybody gets what they asked for; contention is modelled by the
             // oversubscription factor instead.
-            return requests.iter().map(|&r| r.min(self.node_cpus)).collect();
+            return requests.iter().map(|&r| r.min(NODE_CPUS)).collect();
         }
-        let fair = balanced_sizes(self.node_cpus, requests.len());
+        let fair = balanced_sizes(NODE_CPUS, requests.len());
         let mut grants: Vec<usize> = requests
             .iter()
             .zip(fair.iter())
             .map(|(&req, &share)| req.min(share))
             .collect();
-        let mut leftover = self.node_cpus.saturating_sub(grants.iter().sum());
+        let mut leftover = NODE_CPUS.saturating_sub(grants.iter().sum());
         // Round-robin the leftover to jobs that still want more.
         let mut progress = true;
         while leftover > 0 && progress {
@@ -161,11 +148,11 @@ impl WorkloadSimulator {
         if self.scenario != Scenario::Oversubscribed {
             return 1.0;
         }
-        let total: usize = requests.iter().map(|&r| r.min(self.node_cpus)).sum();
-        if total <= self.node_cpus {
+        let total: usize = requests.iter().map(|&r| r.min(NODE_CPUS)).sum();
+        if total <= NODE_CPUS {
             1.0
         } else {
-            self.node_cpus as f64 / total as f64
+            NODE_CPUS as f64 / total as f64
         }
     }
 
@@ -195,7 +182,7 @@ impl WorkloadSimulator {
     fn admission_allows(&self, running_count: usize) -> bool {
         match self.scenario {
             Scenario::Serial => running_count == 0,
-            Scenario::Drom | Scenario::Oversubscribed => running_count < self.max_jobs_per_node,
+            Scenario::Drom | Scenario::Oversubscribed => running_count < MAX_JOBS_PER_NODE,
         }
     }
 
@@ -553,9 +540,7 @@ mod tests {
 
     #[test]
     fn scenario_accessors() {
-        let sim = WorkloadSimulator::new(Scenario::Drom)
-            .with_cluster(4, 32)
-            .with_max_jobs_per_node(3);
+        let sim = WorkloadSimulator::new(Scenario::Drom);
         assert_eq!(sim.scenario(), Scenario::Drom);
     }
 }

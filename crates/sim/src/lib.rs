@@ -6,9 +6,9 @@
 //! co-allocated and the node CPUs are repartitioned on the fly). We cannot run
 //! on MN3, so this crate replays those workloads in virtual time:
 //!
-//! * the scheduling and placement decisions come from the same logic the real
-//!   execution path uses (`drom-slurm`'s controller admission rule and the
-//!   equipartition arithmetic of `drom-cpuset`);
+//! * admission is the evaluation's rule — Serial runs one job at a time, DROM
+//!   co-allocates up to two per node — and placement is the equipartition
+//!   arithmetic of `drom-cpuset` the real `task/affinity` path uses;
 //! * the progress of every job under a given CPU assignment comes from the
 //!   calibrated application models of `drom-apps::perfmodel`.
 //!

@@ -1,154 +1,23 @@
-//! Cluster controllers: the paper's minimal `slurmctld` and the
-//! policy-driven [`PolicyScheduler`].
+//! The policy-driven cluster controller, [`PolicyScheduler`].
 //!
 //! The paper leaves slurmctld untouched ("the purpose is to give a proof of
-//! integration of DROM APIs, not to present new scheduling policies"), so
-//! [`SlurmCtld`] is deliberately simple: first-come-first-served over a
-//! priority queue, first-fit node selection. The only difference between the
-//! two evaluation scenarios is the admission rule:
-//!
-//! * **Serial** — a job only starts when it can have its nodes exclusively;
-//! * **DROM co-allocation** — a node may be shared by up to a configurable
-//!   number of jobs (two in the paper's experiments), relying on the
-//!   task/affinity plugin to partition the CPUs.
-//!
-//! [`PolicyScheduler`] is the step beyond the paper: a CPU-granular
-//! controller that delegates every decision to a pluggable
-//! [`SchedulerPolicy`] and validates the returned actions before applying
-//! them, so no policy can oversubscribe a node or resize a job outside its
-//! malleable range.
-
-use std::collections::HashMap;
+//! integration of DROM APIs, not to present new scheduling policies");
+//! [`PolicyScheduler`] is the step beyond it: a CPU-granular controller that
+//! delegates every decision to a pluggable [`SchedulerPolicy`] and validates
+//! the returned actions before applying them, so no policy can oversubscribe
+//! a node or resize a job outside its malleable range. The paper's
+//! unmodified-controller behaviour is this controller under
+//! [`FirstFitPolicy`](crate::FirstFitPolicy).
 
 use serde::{Deserialize, Serialize};
 
 use drom_metrics::TimeUs;
 
 use crate::error::SlurmError;
-use crate::job::JobSpec;
 use crate::policy::{
     AdmissionOrder, ClusterView, JobAllocation, QueuedJob, RunningJob, SchedIndex, SchedulerAction,
     SchedulerPolicy,
 };
-
-/// Admission rule used by the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SchedulingMode {
-    /// Nodes are exclusive: a job waits until enough idle nodes exist.
-    Serial,
-    /// Nodes may be shared by up to `max_jobs_per_node` jobs (DROM).
-    DromShared {
-        /// Maximum number of jobs co-allocated on one node.
-        max_jobs_per_node: usize,
-    },
-}
-
-impl SchedulingMode {
-    /// The paper's DROM configuration: at most two jobs per node.
-    pub fn drom_default() -> Self {
-        SchedulingMode::DromShared {
-            max_jobs_per_node: 2,
-        }
-    }
-}
-
-/// The cluster controller: tracks which jobs run where and decides when a
-/// pending job can start.
-#[derive(Debug, Clone)]
-pub struct SlurmCtld {
-    node_names: Vec<String>,
-    mode: SchedulingMode,
-    /// job id → nodes it occupies.
-    running: HashMap<u64, Vec<String>>,
-}
-
-impl SlurmCtld {
-    /// Creates a controller over the given nodes with the given admission rule.
-    pub fn new(node_names: Vec<String>, mode: SchedulingMode) -> Self {
-        SlurmCtld {
-            node_names,
-            mode,
-            running: HashMap::new(),
-        }
-    }
-
-    /// The admission rule in force.
-    pub fn mode(&self) -> SchedulingMode {
-        self.mode
-    }
-
-    /// Number of jobs currently occupying `node`.
-    pub fn jobs_on(&self, node: &str) -> usize {
-        self.running
-            .values()
-            .filter(|nodes| nodes.iter().any(|n| n == node))
-            .count()
-    }
-
-    /// Job ids currently running anywhere.
-    pub fn running_jobs(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.running.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Nodes a running job occupies (empty if unknown).
-    pub fn nodes_of(&self, job_id: u64) -> Vec<String> {
-        self.running.get(&job_id).cloned().unwrap_or_default()
-    }
-
-    fn node_is_eligible(&self, node: &str) -> bool {
-        match self.mode {
-            SchedulingMode::Serial => self.jobs_on(node) == 0,
-            SchedulingMode::DromShared { max_jobs_per_node } => {
-                self.jobs_on(node) < max_jobs_per_node
-            }
-        }
-    }
-
-    /// Decides whether `job` can start now; returns the nodes it would get.
-    ///
-    /// Node selection is first-fit over the least-loaded eligible nodes, which
-    /// for the two-node evaluation reproduces the paper's placement (a new job
-    /// shares both nodes with the running one).
-    pub fn can_start(&self, job: &JobSpec) -> Option<Vec<String>> {
-        let mut eligible: Vec<&String> = self
-            .node_names
-            .iter()
-            .filter(|n| self.node_is_eligible(n))
-            .collect();
-        if eligible.len() < job.nodes {
-            return None;
-        }
-        // Least-loaded first, then declaration order (stable for ties).
-        eligible.sort_by_key(|n| self.jobs_on(n));
-        Some(eligible.into_iter().take(job.nodes).cloned().collect())
-    }
-
-    /// Records that a job started on the given nodes.
-    pub fn job_started(&mut self, job_id: u64, nodes: Vec<String>) {
-        self.running.insert(job_id, nodes);
-    }
-
-    /// Records that a job finished, freeing its nodes.
-    pub fn job_finished(&mut self, job_id: u64) {
-        self.running.remove(&job_id);
-    }
-
-    /// Picks the next job to start from `pending` (highest priority first,
-    /// then earliest submission, then lowest id) that the admission rule
-    /// accepts right now. Returns the job id and its nodes.
-    pub fn next_startable(&self, pending: &[JobSpec]) -> Option<(u64, Vec<String>)> {
-        let mut ordered: Vec<&JobSpec> = pending.iter().collect();
-        ordered.sort_by_key(|j| (std::cmp::Reverse(j.priority), j.submit_time, j.id));
-        for job in ordered {
-            if let Some(nodes) = self.can_start(job) {
-                return Some((job.id, nodes));
-            }
-        }
-        None
-    }
-}
 
 /// Counters of everything a [`PolicyScheduler`] did, reported next to the
 /// workload metrics so a policy's behaviour (how often it shrank, expanded,
@@ -484,9 +353,7 @@ impl PolicyScheduler {
         // if its speedup curve says shrinking is worse than linear), so
         // backfill/drain reservations stay honest even when the driver never
         // refreshes estimates via set_expected_end.
-        let expected_end_us = job
-            .expected_duration_us
-            .map(|d| now_us.saturating_add(job.scaled_duration_us(d, width)));
+        let expected_end_us = job.expected_end_us(now_us, width);
         let started = RunningJob {
             alloc: JobAllocation {
                 job_id,
@@ -550,88 +417,6 @@ impl PolicyScheduler {
 mod tests {
     use super::*;
     use crate::policy::{FirstFitPolicy, MalleablePolicy};
-
-    fn two_node_ctld(mode: SchedulingMode) -> SlurmCtld {
-        SlurmCtld::new(vec!["node0".into(), "node1".into()], mode)
-    }
-
-    #[test]
-    fn serial_mode_requires_idle_nodes() {
-        let mut ctld = two_node_ctld(SchedulingMode::Serial);
-        let job1 = JobSpec::new(1, "sim").with_nodes(2);
-        let job2 = JobSpec::new(2, "analytics").with_nodes(2);
-        let nodes = ctld.can_start(&job1).unwrap();
-        assert_eq!(nodes.len(), 2);
-        ctld.job_started(1, nodes);
-        // While job 1 runs, job 2 cannot start.
-        assert!(ctld.can_start(&job2).is_none());
-        ctld.job_finished(1);
-        assert!(ctld.can_start(&job2).is_some());
-    }
-
-    #[test]
-    fn drom_mode_allows_sharing_up_to_limit() {
-        let mut ctld = two_node_ctld(SchedulingMode::drom_default());
-        let job1 = JobSpec::new(1, "sim").with_nodes(2);
-        let job2 = JobSpec::new(2, "analytics").with_nodes(2);
-        let job3 = JobSpec::new(3, "third").with_nodes(2);
-        ctld.job_started(1, ctld.can_start(&job1).unwrap());
-        // Job 2 shares both nodes with job 1.
-        let nodes2 = ctld.can_start(&job2).unwrap();
-        assert_eq!(nodes2.len(), 2);
-        ctld.job_started(2, nodes2);
-        assert_eq!(ctld.jobs_on("node0"), 2);
-        assert_eq!(ctld.jobs_on("node1"), 2);
-        // A third job exceeds the two-jobs-per-node limit.
-        assert!(ctld.can_start(&job3).is_none());
-        ctld.job_finished(1);
-        assert!(ctld.can_start(&job3).is_some());
-        assert_eq!(ctld.running_jobs(), vec![2]);
-        assert_eq!(ctld.nodes_of(2).len(), 2);
-        assert!(ctld.nodes_of(99).is_empty());
-    }
-
-    #[test]
-    fn single_node_jobs_prefer_least_loaded() {
-        let mut ctld = two_node_ctld(SchedulingMode::drom_default());
-        ctld.job_started(1, vec!["node0".into()]);
-        let job = JobSpec::new(2, "small").with_nodes(1);
-        let nodes = ctld.can_start(&job).unwrap();
-        assert_eq!(nodes, vec!["node1".to_string()]);
-    }
-
-    #[test]
-    fn next_startable_respects_priority_and_fifo() {
-        let ctld = two_node_ctld(SchedulingMode::Serial);
-        let pending = vec![
-            JobSpec::new(1, "old").with_submit_time(0),
-            JobSpec::new(2, "new").with_submit_time(10),
-            JobSpec::new(3, "urgent")
-                .with_submit_time(20)
-                .with_priority(9),
-        ];
-        let (id, _) = ctld.next_startable(&pending).unwrap();
-        assert_eq!(id, 3, "priority beats submission order");
-        let no_prio = vec![
-            JobSpec::new(1, "old").with_submit_time(5),
-            JobSpec::new(2, "new").with_submit_time(1),
-        ];
-        let (id, _) = ctld.next_startable(&no_prio).unwrap();
-        assert_eq!(id, 2, "earliest submission first");
-        assert!(ctld.next_startable(&[]).is_none());
-    }
-
-    #[test]
-    fn mode_accessor() {
-        let ctld = two_node_ctld(SchedulingMode::Serial);
-        assert_eq!(ctld.mode(), SchedulingMode::Serial);
-        assert_eq!(
-            SchedulingMode::drom_default(),
-            SchedulingMode::DromShared {
-                max_jobs_per_node: 2
-            }
-        );
-    }
 
     #[test]
     fn policy_scheduler_first_fit_lifecycle() {

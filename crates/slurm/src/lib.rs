@@ -7,8 +7,6 @@
 //! charge of distributing the resources assigned by slurmctld to the job's
 //! tasks." This crate reproduces exactly that division of labour:
 //!
-//! * [`SlurmCtld`] — a minimal controller: a job queue, first-fit node
-//!   selection, and the Serial / DROM co-allocation admission rule.
 //! * [`Slurmd`] — the per-node daemon. Its `launch_request` computes the CPU
 //!   masks for the starting job's tasks and, when another job already runs on
 //!   the node, new (shrunk) masks for the running tasks (equipartition,
@@ -125,7 +123,7 @@ pub mod stepd;
 
 pub use affinity::{AffinityPlugin, NodeLaunchPlan};
 pub use cluster::{Cluster, NodeHw};
-pub use controller::{PolicyScheduler, SchedulerStats, SchedulingMode, SlurmCtld};
+pub use controller::{PolicyScheduler, SchedulerStats};
 pub use error::SlurmError;
 pub use job::{JobSpec, JobState};
 pub use launcher::{LaunchedJob, LaunchedTask, Srun};

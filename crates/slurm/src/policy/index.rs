@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 
 use drom_metrics::TimeUs;
 
-use super::{JobAllocation, QueuedJob, RunningJob};
+use super::{JobAllocation, RunningJob};
 
 /// What one estimated running job gives back when it ends: `width` CPUs on
 /// each of `node_indices`.
@@ -236,8 +236,8 @@ impl SchedIndex {
                 capacity[n] += r.alloc.cpus_per_node;
             }
             if r.job.malleable {
-                let spare = Self::spare(&r.job, r.alloc.cpus_per_node);
-                let cheap = Self::cheap_spare(&r.job, r.alloc.cpus_per_node);
+                let spare = r.job.spare(r.alloc.cpus_per_node);
+                let cheap = r.job.cheap_spare(r.alloc.cpus_per_node);
                 for &n in &r.alloc.node_indices {
                     index.donors[n].push(r.alloc.job_id);
                     index.reclaim[n] += spare;
@@ -297,29 +297,15 @@ impl SchedIndex {
         &self.avail_hist
     }
 
-    /// Per-job clamped spare width under the shrink bound.
-    fn spare(job: &QueuedJob, width: usize) -> usize {
-        width.saturating_sub(shrink_floor(job.min_cpus_per_node, job.cpus_per_node))
-    }
-
-    /// Per-job zero-marginal-cost part of [`spare`](Self::spare): what the
-    /// job's curve says it can donate for free at `width`.
-    fn cheap_spare(job: &QueuedJob, width: usize) -> usize {
-        match &job.speedup {
-            Some(curve) => curve.zero_cost_run(width, Self::spare(job, width)),
-            None => 0,
-        }
-    }
-
     /// Moves `r`'s allocation on each of its nodes from `old_width` to
     /// `new_width` CPUs (0 = not allocated): the free / reclaim / cheap
     /// columns, and each touched node's entry in the two count histograms.
     // PANIC: allocations name nodes inside the driver's free vector.
     fn move_width(&mut self, r: &RunningJob, old_width: usize, new_width: usize) {
-        let old_spare = Self::spare(&r.job, old_width);
-        let new_spare = Self::spare(&r.job, new_width);
-        let old_cheap = Self::cheap_spare(&r.job, old_width);
-        let new_cheap = Self::cheap_spare(&r.job, new_width);
+        let old_spare = r.job.spare(old_width);
+        let new_spare = r.job.spare(new_width);
+        let old_cheap = r.job.cheap_spare(old_width);
+        let new_cheap = r.job.cheap_spare(new_width);
         for &n in &r.alloc.node_indices {
             let old_free = self.free[n];
             let old_avail = old_free + self.reclaim[n];
@@ -388,15 +374,9 @@ impl SchedIndex {
     }
 }
 
-/// The width below which the malleable policy will not push a job: its
-/// declared floor, but never less than half its request.
-pub(super) fn shrink_floor(declared_floor: usize, request: usize) -> usize {
-    declared_floor.max(request.div_ceil(2)).max(1)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::tests::stream_curve;
+    use super::super::{tests::stream_curve, QueuedJob};
     use super::*;
 
     /// `job` running at `width` CPUs on each of `nodes`, estimated to end at

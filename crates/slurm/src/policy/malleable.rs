@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use drom_metrics::TimeUs;
 
 use super::admission::admission_iter;
-use super::index::{shrink_floor, FreeHist};
+use super::index::FreeHist;
 use super::placement::{earliest_timeline_fit, fit_first, TimelineDelta};
 use super::{
     ClusterView, QueuedJob, RunningJob, SchedIndex, SchedulerAction, SchedulerPolicy, SpeedupCurve,
@@ -93,22 +93,20 @@ impl MalleablePolicy {
 }
 
 /// Mutable working copy of one running (or newly started) job during a
-/// [`MalleablePolicy::schedule`] pass. Borrows the job's speedup curve so
-/// both malleable implementations price donations and expansions through
-/// the exact same helpers — decision equivalence by construction. Node sets
-/// are borrowed from the view for already-running jobs (a pass never moves
-/// a job between nodes, and cloning ~running Vecs per pass dominated the
-/// seeding cost at 1024+ nodes) and owned only for jobs started this pass.
+/// [`MalleablePolicy::schedule`] pass: the width the pass may change, next
+/// to a borrow of the job itself (the [`RunningJob`]'s or the queued one's)
+/// — so both malleable implementations price donations and expansions
+/// through the exact same helpers: decision equivalence by construction.
+/// Node sets are borrowed from the view for already-running jobs (a pass
+/// never moves a job between nodes, and cloning ~running Vecs per pass
+/// dominated the seeding cost at 1024+ nodes) and owned only for jobs
+/// started this pass.
 pub(super) struct Slot<'a> {
-    pub(super) job_id: u64,
+    pub(super) job: &'a QueuedJob,
     pub(super) node_indices: Cow<'a, [usize]>,
     pub(super) width: usize,
     pub(super) original_width: Option<usize>, // None for jobs started this pass
-    floor: usize,
-    request: usize,
-    pub(super) malleable: bool,
     pub(super) expected_end_us: Option<TimeUs>,
-    speedup: Option<&'a SpeedupCurve>,
     /// `true` once the pass reserved a node this job overlaps (cached so the
     /// indexed pass never re-scans `node_indices` per candidate victim).
     reserved_overlap: bool,
@@ -118,15 +116,11 @@ impl<'a> Slot<'a> {
     /// The slot of a job that was already running when the pass began.
     pub(super) fn running(r: &'a RunningJob) -> Self {
         Slot {
-            job_id: r.alloc.job_id,
+            job: &r.job,
             node_indices: Cow::Borrowed(r.alloc.node_indices.as_slice()),
             width: r.alloc.cpus_per_node,
             original_width: Some(r.alloc.cpus_per_node),
-            floor: r.job.min_cpus_per_node,
-            request: r.job.cpus_per_node,
-            malleable: r.job.malleable,
             expected_end_us: r.expected_end_us,
-            speedup: r.job.speedup.as_ref(),
             reserved_overlap: false,
         }
     }
@@ -140,17 +134,11 @@ impl<'a> Slot<'a> {
         now_us: TimeUs,
     ) -> Self {
         Slot {
-            job_id: job.id,
+            job,
             node_indices: Cow::Owned(node_indices),
             width,
             original_width: None,
-            floor: job.min_cpus_per_node,
-            request: job.cpus_per_node,
-            malleable: job.malleable,
-            expected_end_us: job
-                .expected_duration_us
-                .map(|d| now_us.saturating_add(job.scaled_duration_us(d, width))),
-            speedup: job.speedup.as_ref(),
+            expected_end_us: job.expected_end_us(now_us, width),
             reserved_overlap: false,
         }
     }
@@ -161,18 +149,18 @@ impl<'a> Slot<'a> {
     }
 
     pub(super) fn shrink_floor(&self) -> usize {
-        shrink_floor(self.floor, self.request)
+        self.job.shrink_floor()
     }
 
     /// CPUs per node above the shrink floor.
     pub(super) fn spare(&self) -> usize {
-        self.width.saturating_sub(self.shrink_floor())
+        self.job.spare(self.width)
     }
 
     /// Relative marginal cost of the next CPU this slot would donate —
     /// [`SpeedupCurve::FP`] exactly for a curve-less linear job.
     pub(super) fn donor_cost(&self) -> u64 {
-        match self.speedup {
+        match &self.job.speedup {
             Some(curve) => curve.relative_marginal_cost(self.width),
             None => SpeedupCurve::FP,
         }
@@ -182,7 +170,7 @@ impl<'a> Slot<'a> {
     /// under its shrink floor (all of its spare for a linear job, so the
     /// curve-less donation chunks are unchanged).
     pub(super) fn donor_run(&self) -> usize {
-        match self.speedup {
+        match &self.job.speedup {
             Some(curve) => curve.equal_cost_run(self.width, self.spare()),
             None => self.spare(),
         }
@@ -190,16 +178,13 @@ impl<'a> Slot<'a> {
 
     /// CPUs this slot could give up without losing any throughput.
     pub(super) fn zero_cost_spare(&self) -> usize {
-        match self.speedup {
-            Some(curve) => curve.zero_cost_run(self.width, self.spare()),
-            None => 0,
-        }
+        self.job.cheap_spare(self.width)
     }
 
     /// Relative marginal gain of one more CPU per node —
     /// [`SpeedupCurve::FP`] for a curve-less linear job.
     fn expand_gain(&self) -> u64 {
-        match self.speedup {
+        match &self.job.speedup {
             Some(curve) => curve.relative_marginal_cost(self.width + 1),
             None => SpeedupCurve::FP,
         }
@@ -207,7 +192,7 @@ impl<'a> Slot<'a> {
 
     /// `true` when more CPUs cannot speed this job up at all.
     fn saturated(&self) -> bool {
-        self.speedup.is_some_and(|c| c.saturated_at(self.width))
+        matches!(&self.job.speedup, Some(c) if c.saturated_at(self.width))
     }
 }
 
@@ -222,9 +207,11 @@ pub(super) fn admission_gain(job: &QueuedJob, width: usize) -> u64 {
 }
 
 /// The indexed working state of one [`MalleablePolicy::schedule`] pass:
-/// per-node free and reclaimable CPUs plus the per-node donor index (slot
-/// positions of the malleable jobs holding CPUs there), every one maintained
-/// incrementally as the pass shrinks victims and admits jobs.
+/// per-node free and reclaimable CPUs, one [`Slot`] per running job in
+/// `running` order (jobs the pass starts are appended) and the per-node
+/// donor index (slot positions of the malleable jobs holding CPUs there),
+/// every one maintained incrementally as the pass shrinks victims and
+/// admits jobs.
 ///
 /// Seeded from the view's [`SchedIndex`], so the pass never rescans all
 /// running jobs per node — victim selection reads `donors[node]`,
@@ -251,17 +238,17 @@ struct PassState<'a> {
 }
 
 impl<'a> PassState<'a> {
-    // ALLOC(pass): the O(nodes) pass seeding ROADMAP names as the next perf
-    // wall — clones the view's free vector, reclaim/cheap columns, donor
-    // lists and slot table every pass; the work-list is a reusable scratch
-    // arena so steady-state passes stop paying this.
-    // PANIC: seeded vectors index nodes of the fixed cluster size.
+    // ALLOC(pass): the O(nodes) pass seeding (ROADMAP's open perf item) —
+    // copies the index's free / reclaim / cheap columns, its histograms and
+    // its donor lists (as slot positions) and builds the slot table every
+    // pass.
+    // PANIC: the index lists ids of `running`, node by node.
     fn new(view: &ClusterView<'a>) -> Self {
         let index = view.index;
-        let slots: Vec<Slot<'a>> = view.running.iter().map(Slot::running).collect();
         // The id → slot-position map costs O(running) hashing, so it is
         // built only on the first node that actually lists donors (a
-        // rigid-heavy cluster skips it entirely).
+        // rigid-heavy cluster skips it entirely). Keyed by the id the index
+        // lists, the allocation's.
         let mut by_id: Option<HashMap<u64, usize>> = None;
         let mut donors = vec![Vec::new(); index.free().len()];
         for (node, donors) in donors.iter_mut().enumerate() {
@@ -270,10 +257,10 @@ impl<'a> PassState<'a> {
                 continue;
             }
             let by_id = by_id.get_or_insert_with(|| {
-                slots
+                view.running
                     .iter()
                     .enumerate()
-                    .map(|(i, s)| (s.job_id, i))
+                    .map(|(i, r)| (r.alloc.job_id, i))
                     .collect()
             });
             // Donor ids are kept in running order, so the mapped slot
@@ -286,7 +273,7 @@ impl<'a> PassState<'a> {
             reclaim: index.reclaim().to_vec(),
             cheap: index.cheap().to_vec(),
             donors,
-            slots,
+            slots: view.running.iter().map(Slot::running).collect(),
             free_hist: index.free_hist().clone(),
             open_free_hist: index.free_hist().clone(),
             open_avail_hist: index.avail_hist().clone(),
@@ -431,7 +418,7 @@ impl<'a> PassState<'a> {
             let old_free = self.free[n];
             let old_avail = self.free[n] + self.reclaim[n];
             self.free[n] -= width;
-            if slot.malleable && !slot.reserved_overlap {
+            if job.malleable && !slot.reserved_overlap {
                 self.donors[n].push(idx);
                 self.reclaim[n] += spare;
                 self.cheap[n] += cheap;
@@ -461,7 +448,7 @@ impl<'a> PassState<'a> {
         for slot in self.slots.iter_mut() {
             if slot.node_indices.iter().any(|&n| mask[n]) {
                 slot.reserved_overlap = true;
-                if slot.malleable {
+                if slot.job.malleable {
                     let spare = slot.spare();
                     let cheap = slot.zero_cost_spare();
                     for &n in slot.node_indices.iter() {
@@ -599,7 +586,7 @@ impl MalleablePolicy {
         // count means the selection below cannot reach the floor either —
         // skip the O(nodes) gather entirely (the common case on a loaded
         // cluster, where most queued jobs cannot be admitted at all).
-        let floor = shrink_floor(job.min_cpus_per_node, job.cpus_per_node);
+        let floor = job.shrink_floor();
         if state.open_avail_hist.count_ge(floor) < job.nodes {
             return None;
         }
@@ -712,7 +699,7 @@ pub(super) fn expand_shrunk(slots: &mut [Slot<'_>], free: &mut [usize], reserved
         let mut order: Vec<usize> = (0..slots.len())
             .filter(|&i| {
                 let s = &slots[i];
-                s.malleable && s.width < s.request && !s.saturated()
+                s.job.malleable && s.width < s.job.cpus_per_node && !s.saturated()
             })
             .collect();
         order.sort_by_key(|&i| std::cmp::Reverse(slots[i].expand_gain()));
@@ -747,7 +734,7 @@ pub(super) fn emit_actions(slots: &[Slot<'_>]) -> Vec<SchedulerAction> {
     for slot in slots {
         if slot.original_width.is_some_and(|o| slot.width < o) {
             actions.push(SchedulerAction::Resize {
-                job_id: slot.job_id,
+                job_id: slot.job.id,
                 cpus_per_node: slot.width,
             });
         }
@@ -755,7 +742,7 @@ pub(super) fn emit_actions(slots: &[Slot<'_>]) -> Vec<SchedulerAction> {
     for slot in slots {
         if slot.original_width.is_none() {
             actions.push(SchedulerAction::Start {
-                job_id: slot.job_id,
+                job_id: slot.job.id,
                 node_indices: slot.node_indices.to_vec(),
                 cpus_per_node: slot.width,
             });
@@ -764,7 +751,7 @@ pub(super) fn emit_actions(slots: &[Slot<'_>]) -> Vec<SchedulerAction> {
     for slot in slots {
         if slot.original_width.is_some_and(|o| slot.width > o) {
             actions.push(SchedulerAction::Resize {
-                job_id: slot.job_id,
+                job_id: slot.job.id,
                 cpus_per_node: slot.width,
             });
         }

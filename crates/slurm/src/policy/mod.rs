@@ -159,6 +159,38 @@ impl QueuedJob {
         }
     }
 
+    /// When this job, started (or re-estimated) at `now_us` with `width` CPUs
+    /// per node, is expected to end: the one width-scaled start estimate the
+    /// malleable pass plans around and the controller records. `None`
+    /// without a declared duration.
+    pub(crate) fn expected_end_us(&self, now_us: TimeUs, width: usize) -> Option<TimeUs> {
+        self.expected_duration_us
+            .map(|d| now_us.saturating_add(self.scaled_duration_us(d, width)))
+    }
+
+    /// The width below which the malleable policy will not push this job:
+    /// its declared floor, but never less than half its request.
+    pub(crate) fn shrink_floor(&self) -> usize {
+        self.min_cpus_per_node
+            .max(self.cpus_per_node.div_ceil(2))
+            .max(1)
+    }
+
+    /// CPUs per node this job holds above its shrink floor at `width`.
+    pub(crate) fn spare(&self, width: usize) -> usize {
+        width.saturating_sub(self.shrink_floor())
+    }
+
+    /// The part of [`spare`](Self::spare) this job's curve prices at zero:
+    /// what it can give up at `width` without losing any throughput (0 for a
+    /// curve-less linear job).
+    pub(crate) fn cheap_spare(&self, width: usize) -> usize {
+        match &self.speedup {
+            Some(curve) => curve.zero_cost_run(width, self.spare(width)),
+            None => 0,
+        }
+    }
+
     /// Derives the policy-level shape from a [`JobSpec`]: the per-node width
     /// is the widest node's `tasks × threads`, the malleable floor is one CPU
     /// per task, and the expected duration is the declared time limit.

@@ -41,7 +41,9 @@ pub(super) struct TimelineDelta<'a> {
 /// O(nodes + Σ nodes of the walked jobs) per forecast.
 // ALLOC(pass): O(nodes) scratch free vector per timeline probe.
 // PANIC: timeline deltas index nodes within the scratch vector they were
-// recorded for; the eligibility count is exact before `fit_first` runs.
+// recorded for. The eligibility count is exact before `fit_first` runs; were
+// it ever not, the answer is "no provable fit" — the conservative one both
+// callers already handle — not a panic.
 pub(super) fn earliest_timeline_fit(
     nodes: usize,
     width: usize,
@@ -55,8 +57,9 @@ pub(super) fn earliest_timeline_fit(
     }
     let mut eligible = free.iter().filter(|&&f| f >= width).count();
     if eligible >= nodes {
-        let found = fit_first(free, None, nodes, width).expect("eligible count is exact");
-        return Some((now_us, found));
+        let found = fit_first(free, None, nodes, width);
+        debug_assert!(found.is_some(), "eligible count is exact");
+        return found.map(|found| (now_us, found));
     }
     let mut free_at = free.to_vec();
     let raise = |free_at: &mut [usize], eligible: &mut usize, n: usize, delta: i64| {
@@ -88,8 +91,9 @@ pub(super) fn earliest_timeline_fit(
             }
         }
         if t > now_us && eligible >= nodes {
-            let found = fit_first(&free_at, None, nodes, width).expect("eligible count is exact");
-            return Some((t, found));
+            let found = fit_first(&free_at, None, nodes, width);
+            debug_assert!(found.is_some(), "eligible count is exact");
+            return found.map(|found| (t, found));
         }
     }
 }

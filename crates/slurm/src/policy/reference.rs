@@ -9,7 +9,6 @@
 
 use drom_metrics::TimeUs;
 
-use super::index::shrink_floor;
 use super::malleable::{admission_gain, emit_actions, expand_shrunk, Slot};
 use super::placement::fit_first;
 #[cfg(doc)]
@@ -245,7 +244,7 @@ impl MalleableScanPolicy {
             .iter()
             .enumerate()
             .filter(|(_, s)| {
-                s.malleable
+                s.job.malleable
                     && s.width > s.shrink_floor()
                     && s.node_indices.contains(&node)
                     && !s.on_reserved(reserved)
@@ -316,7 +315,7 @@ impl MalleableScanPolicy {
             .filter(|&(node, _)| !reserved.is_some_and(|m| m[node]))
             .map(|(node, &f)| {
                 let donors = slots.iter().filter(|s| {
-                    s.malleable && s.node_indices.contains(&node) && !s.on_reserved(reserved)
+                    s.job.malleable && s.node_indices.contains(&node) && !s.on_reserved(reserved)
                 });
                 let (reclaimable, cheap) =
                     donors.fold((0, 0), |(r, c), s| (r + s.spare(), c + s.zero_cost_spare()));
@@ -336,7 +335,7 @@ impl MalleableScanPolicy {
             .min()
             .unwrap_or(0)
             .min(job.cpus_per_node);
-        if width < shrink_floor(job.min_cpus_per_node, job.cpus_per_node) {
+        if width < job.shrink_floor() {
             return None;
         }
         let mut node_indices: Vec<usize> = selected.iter().map(|&(n, _, _)| n).collect();

@@ -294,10 +294,36 @@ fn shrunk_admission_estimate_rounds_up_for_reservations() {
     );
 }
 
-/// The indexed pass and the reference scan make identical decisions on a
-/// hand-built view (index and order built one-shot).
+/// The indexed pass and the reference scan make identical decisions on
+/// hand-built views (index and order built one-shot).
 #[test]
 fn indexed_and_scan_policies_agree_on_handbuilt_views() {
+    fn both(free: &[usize], holders: &[RunningJob], queue: &[QueuedJob]) -> Vec<SchedulerAction> {
+        let indexed = pass(
+            &mut MalleablePolicy::default(),
+            16,
+            free,
+            holders,
+            queue,
+            50,
+        );
+        let scanned = pass(
+            &mut MalleableScanPolicy::default(),
+            16,
+            free,
+            holders,
+            queue,
+            50,
+        );
+        assert_eq!(indexed, scanned);
+        indexed
+    }
+    let start = |job_id, node_indices: &[usize], cpus_per_node| SchedulerAction::Start {
+        job_id,
+        node_indices: node_indices.to_vec(),
+        cpus_per_node,
+    };
+
     let mut holders = vec![
         running(1, vec![0, 1], 16, 16, 4),
         running(2, vec![2], 10, 16, 2),
@@ -305,7 +331,6 @@ fn indexed_and_scan_policies_agree_on_handbuilt_views() {
     ];
     holders[1].expected_end_us = Some(700);
     holders[2].expected_end_us = Some(900);
-    let free = [0, 3, 3, 16];
     let queue = vec![
         QueuedJob::new(10, 2, 12)
             .malleable(3)
@@ -318,23 +343,55 @@ fn indexed_and_scan_policies_agree_on_handbuilt_views() {
             .with_expected_duration_us(100),
         QueuedJob::new(13, 1, 2).malleable(1).with_submit_us(3),
     ];
-    let indexed = pass(
-        &mut MalleablePolicy::default(),
-        16,
-        &free,
-        &holders,
-        &queue,
-        50,
+    both(&[0, 3, 3, 16], &holders, &queue);
+
+    // A job admitted earlier in the pass donates to a later admission of
+    // the same pass: job 1 starts into the 10 free CPUs and — 5 spare
+    // against running job 5's 3 — is the donor job 2's four CPUs come from.
+    // The index lists only job 5 on the node.
+    let holders = vec![running(5, vec![0], 6, 6, 1)];
+    let queue = vec![
+        QueuedJob::new(1, 1, 10).malleable(2),
+        QueuedJob::new(2, 1, 4).with_submit_us(1),
+    ];
+    assert_eq!(
+        both(&[10], &holders, &queue),
+        vec![start(1, &[0], 6), start(2, &[0], 4)],
+        "the same-pass start gives up the CPUs, job 5 keeps its width"
     );
-    let scanned = pass(
-        &mut MalleableScanPolicy::default(),
-        16,
-        &free,
-        &holders,
-        &queue,
-        50,
+
+    // A same-pass start on a reserved node is never a victim. Job 10 (2×16)
+    // reserves nodes 0 and 1 for t = 1000; job 11 ends before that and
+    // starts across reserved node 1 and open node 2; job 12 then needs two
+    // CPUs on node 2, where job 11 has the most spare (4 against job 22's
+    // 2) — shrinking it would push the reservation, so job 22 donates.
+    let mut holders = vec![
+        running(20, vec![0], 16, 16, 16),
+        running(21, vec![1], 8, 8, 8),
+        running(22, vec![2], 8, 8, 6),
+    ];
+    holders[0].expected_end_us = Some(1_000);
+    holders[1].expected_end_us = Some(1_000);
+    let queue = vec![
+        QueuedJob::new(10, 2, 16).with_expected_duration_us(500),
+        QueuedJob::new(11, 2, 8)
+            .malleable(2)
+            .with_submit_us(1)
+            .with_expected_duration_us(100),
+        QueuedJob::new(12, 1, 2).with_submit_us(2),
+    ];
+    assert_eq!(
+        both(&[0, 8, 8], &holders, &queue),
+        vec![
+            SchedulerAction::Resize {
+                job_id: 22,
+                cpus_per_node: 6
+            },
+            start(11, &[1, 2], 8),
+            start(12, &[2], 2),
+        ],
+        "job 11 overlaps the reservation and keeps its width"
     );
-    assert_eq!(indexed, scanned);
 }
 
 /// A job carrying a sub-linear curve gets curve-scaled (not linear)
